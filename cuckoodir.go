@@ -244,6 +244,13 @@ type Engine = engine.Engine
 // backpressure policy); the zero value is usable.
 type EngineOptions = engine.Options
 
+// SubmitOptions select how Engine.Submit enqueues a batch: its QoS
+// class, a completion callback (OnDone) or fire-and-forget (Detached)
+// instead of a ticket, and an optional ErrEngineQueueFull retry. The
+// zero value is a ticketed foreground submission, as Engine.SubmitBatch
+// makes.
+type SubmitOptions = engine.SubmitOptions
+
 // Ticket is a pollable completion handle for an engine submission,
 // carrying the per-access Ops once done.
 type Ticket = engine.Ticket
@@ -283,10 +290,9 @@ func NewEngine(dir *ShardedDirectory, o EngineOptions) (*Engine, error) {
 
 // ---- QoS classes & scheduling ----
 
-// QoSClass is a submission's priority class. Every class-less engine
-// API (Submit, SubmitBatch, ...) submits as ClassForeground; the
-// class-taking variants (Engine.SubmitClass, SubmitBatchClass,
-// SubmitDetachedClass, SubmitRetryClass) pick explicitly. Per-class
+// QoSClass is a submission's priority class (SubmitOptions.Class). The
+// zero value is ClassForeground, so SubmitBatch and every submission
+// that leaves the class unset run in the foreground. Per-class
 // queue depths, drain shares, shed counts and latency percentiles are
 // reported through EngineStats.Classes and EngineHealth.Classes. See
 // DESIGN.md §13.
@@ -359,7 +365,7 @@ type DrainerHealth = engine.DrainerHealth
 // (EngineOptions.StallThreshold = 0).
 const DefaultStallThreshold = engine.DefaultStallThreshold
 
-// RetryOptions parameterize Engine.SubmitRetry's capped
+// RetryOptions parameterize SubmitOptions.Retry's capped
 // exponential-backoff retry over ErrEngineQueueFull; the zero value is
 // usable.
 type RetryOptions = engine.RetryOptions

@@ -24,7 +24,7 @@ func TestPublicEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	tk, err := eng.Submit(ctx, Access{Kind: AccessRead, Addr: 0x40, Cache: 3})
+	tk, err := eng.Submit(ctx, []Access{{Kind: AccessRead, Addr: 0x40, Cache: 3}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPublicEngine(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Submit(ctx, Access{}); !errors.Is(err, ErrEngineClosed) {
+	if _, err := eng.SubmitBatch(ctx, []Access{{}}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 

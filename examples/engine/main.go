@@ -41,8 +41,8 @@ func main() {
 		dir.Name(), eng.Options().Drainers, eng.Options().QueueDepth, eng.Options().Policy)
 	ctx := context.Background()
 
-	// A single submission returns a pollable ticket carrying the Op.
-	tk, err := eng.Submit(ctx, cuckoodir.Access{Kind: cuckoodir.AccessWrite, Addr: blockAddr(1), Cache: 3})
+	// A one-access submission returns a pollable ticket carrying the Op.
+	tk, err := eng.SubmitBatch(ctx, []cuckoodir.Access{{Kind: cuckoodir.AccessWrite, Addr: blockAddr(1), Cache: 3}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,14 +99,15 @@ func main() {
 					state = state*6364136223846793005 + 1442695040888963407
 					buf[i] = cuckoodir.Access{Kind: cuckoodir.AccessRead, Addr: blockAddr(state), Cache: int(state>>32) & 31}
 				}
-				var err error
+				// A detached submission copies its batch, so buf is free
+				// for reuse as soon as Submit returns; a callback
+				// submission may retain its batch until it completes.
+				batch, o := buf, cuckoodir.SubmitOptions{Detached: true}
 				if b%16 == 0 {
-					err = eng.SubmitBatchFunc(ctx, append([]cuckoodir.Access(nil), buf...),
-						func(ops []cuckoodir.Op, _ error) { delivered.Add(uint64(len(ops))) })
-				} else {
-					err = eng.SubmitDetached(ctx, append([]cuckoodir.Access(nil), buf...))
+					batch = append([]cuckoodir.Access(nil), buf...)
+					o = cuckoodir.SubmitOptions{OnDone: func(ops []cuckoodir.Op, _ error) { delivered.Add(uint64(len(ops))) }}
 				}
-				if err != nil {
+				if _, err := eng.Submit(ctx, batch, o); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -126,7 +127,7 @@ func main() {
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Submit(ctx, cuckoodir.Access{}); !errors.Is(err, cuckoodir.ErrEngineClosed) {
+	if _, err := eng.SubmitBatch(ctx, []cuckoodir.Access{{}}); !errors.Is(err, cuckoodir.ErrEngineClosed) {
 		log.Fatalf("submit after close: %v", err)
 	}
 

@@ -388,10 +388,14 @@ func TestShrinkAndRegrowChurn(t *testing.T) {
 		}
 	}
 
+	// Each round's churn stops at its write budget or at stop, whichever
+	// comes first: the 100 survivors above plus churnBudget/2 odd-address
+	// churn survivors stay within half of a 4x64 shard even if every one
+	// homes onto the same shard, however slowly the resize runs.
+	const churnBudget = 56
 	churn := func(stop chan struct{}, base uint64) map[uint64]uint64 {
 		local := map[uint64]uint64{}
-		a := base
-		for {
+		for a := base; a < base+churnBudget; a++ {
 			select {
 			case <-stop:
 				return local
@@ -403,8 +407,8 @@ func TestShrinkAndRegrowChurn(t *testing.T) {
 				d.Evict(a, 1)
 				delete(local, a)
 			}
-			a++
 		}
+		return local
 	}
 
 	for round, sets := range []int{64, 256} { // shrink, then regrow

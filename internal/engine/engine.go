@@ -44,14 +44,14 @@
 //
 // # Completion
 //
-// Submit and SubmitBatch return a Ticket: poll Done(), block in
-// Wait(ctx), and read the per-access Ops once complete. SubmitBatchFunc
-// instead invokes a callback on an engine goroutine (keep it short).
-// SubmitDetached records no results at all — the fire-and-forget fast
-// path replay uses. Flush inserts a barrier into every queue and waits
-// for it, guaranteeing every previously-submitted request has been
-// applied. Close flushes and stops the drainers; the ShardedDirectory
-// itself stays usable.
+// Submit (and SubmitBatch, its zero-options form) returns a Ticket:
+// poll Done(), block in Wait(ctx), and read the per-access Ops once
+// complete. SubmitOptions.OnDone instead invokes a callback on an engine
+// goroutine (keep it short); SubmitOptions.Detached records no results
+// at all — the fire-and-forget fast path replay uses. Flush inserts a
+// barrier into every queue and waits for it, guaranteeing every
+// previously-submitted request has been applied. Close flushes and
+// stops the drainers; the ShardedDirectory itself stays usable.
 //
 // # Online resize
 //
@@ -120,7 +120,7 @@ func (e *QueueFullError) Error() string {
 }
 
 // Is matches ErrQueueFull, keeping every existing errors.Is caller
-// (SubmitRetry's backoff loop included) working unchanged.
+// (SubmitOptions.Retry's backoff loop included) working unchanged.
 func (e *QueueFullError) Is(target error) bool { return target == ErrQueueFull }
 
 // queueFullErrs pre-builds one rejection error per class: the reject
@@ -353,7 +353,7 @@ func (t *Ticket) Ops() []directory.Op {
 	}
 }
 
-// Op returns the single result of a Submit ticket (Ops()[0]).
+// Op returns the single result of a one-access submission (Ops()[0]).
 func (t *Ticket) Op() directory.Op { return t.Ops()[0] }
 
 // complete retires one request of the ticket; the last one fires the
@@ -665,96 +665,64 @@ func (e *Engine) validate(accs []directory.Access) error {
 	return nil
 }
 
-// Submit enqueues one access at the default (Foreground) class and
-// returns its ticket. ctx applies to the enqueue only (a blocked
-// submitter under BlockWhenFull); once enqueued the access will be
-// applied regardless of ctx.
-func (e *Engine) Submit(ctx context.Context, a directory.Access) (*Ticket, error) {
-	return e.SubmitClass(ctx, qos.Foreground, a)
+// SubmitOptions select how Submit enqueues a batch and reports its
+// completion. The zero value is a ticketed Foreground submission — what
+// SubmitBatch does.
+type SubmitOptions struct {
+	// Class is the batch's priority class: the batch rides that class's
+	// rings, drains under its priority, and its latency lands in its
+	// histogram. The zero value is qos.Foreground.
+	Class qos.Class
+	// OnDone, when set, replaces the ticket with a completion callback:
+	// it receives the batch's Ops (in batch order) and the submission's
+	// terminal error (nil, or the failure Ticket.Err would report) on an
+	// engine goroutine once every access has applied. Keep it short — it
+	// runs on the drainer that completed the batch. It never fires for a
+	// submission that returned an error.
+	OnDone func(ops []directory.Op, err error)
+	// Detached records nothing — no ticket, no Ops — the cheapest
+	// submission path (Flush still covers it). The batch is copied
+	// during routing, so the caller may reuse its slice as soon as
+	// Submit returns. Detached and OnDone are mutually exclusive.
+	Detached bool
+	// Retry, when non-nil, resubmits a batch rejected with ErrQueueFull
+	// under capped, jittered exponential backoff (see RetryOptions).
+	Retry *RetryOptions
 }
 
-// SubmitClass is Submit with an explicit priority class: the access
-// rides class c's ring, drains under class c's priority, and its
-// latency lands in class c's histogram.
-func (e *Engine) SubmitClass(ctx context.Context, c qos.Class, a directory.Access) (*Ticket, error) {
-	if !c.Valid() {
-		return nil, fmt.Errorf("engine: unknown class %d", c)
+// Submit enqueues a batch. The engine routes each access to its home
+// shard's queue, so a batch may fan out to several drainers; it
+// completes when the last sub-batch has applied. A ticketed submission
+// returns one ticket covering the batch — Ticket.Ops() reports results
+// in batch order, Ticket.Op() the result of a one-access batch — and
+// the ticket is nil when o.OnDone or o.Detached is set. ctx applies to
+// the enqueue only (a blocked submitter under BlockWhenFull, a Retry
+// backoff); once enqueued the batch is applied regardless of ctx.
+// Unless Detached, the batch slice is copied where routing requires it
+// but may be retained until completion — do not mutate it before then.
+func (e *Engine) Submit(ctx context.Context, accs []directory.Access, o SubmitOptions) (*Ticket, error) {
+	if o.Retry != nil {
+		return e.submitRetry(ctx, accs, o)
 	}
-	if err := e.validate([]directory.Access{a}); err != nil {
-		return nil, err
-	}
-	if e.quarCount.Load() > 0 {
-		if err := e.checkQuarantined([]directory.Access{a}); err != nil {
-			return nil, err
-		}
-	}
-	ops := make([]directory.Op, 1)
-	t := newTicket(1, ops, nil)
-	accs := []directory.Access{a}
-	q := e.queueOf(e.dir.ShardOf(a.Addr))
-	if err := e.send(ctx, c, []int{q}, []request{{accs: accs, ops: ops, t: t, class: c}}); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return e.submit(ctx, accs, o)
 }
 
-// SubmitBatch enqueues a batch at the default (Foreground) class and
-// returns one ticket covering it; Ticket.Ops() reports results in batch
-// order. The engine routes each access to its home shard's queue, so a
-// batch may fan out to several drainers; its ticket completes when the
-// last sub-batch has applied. The batch slice is copied where routing
-// requires it but may be retained until completion — do not mutate it
-// before the ticket is done.
+// SubmitBatch is Submit with the zero SubmitOptions: a ticketed
+// Foreground batch. (With no Retry to honor it calls the enqueue body
+// directly, so the common case pays no extra call.)
 func (e *Engine) SubmitBatch(ctx context.Context, accs []directory.Access) (*Ticket, error) {
-	return e.submitBatch(ctx, qos.Foreground, accs, true, nil)
+	return e.submit(ctx, accs, SubmitOptions{})
 }
 
-// SubmitBatchClass is SubmitBatch with an explicit priority class.
-func (e *Engine) SubmitBatchClass(ctx context.Context, c qos.Class, accs []directory.Access) (*Ticket, error) {
-	return e.submitBatch(ctx, c, accs, true, nil)
-}
-
-// SubmitBatchFunc is SubmitBatch with a completion callback instead of
-// a caller-held ticket: fn receives the batch's Ops (in batch order)
-// and the submission's terminal error (nil, or the failure Ticket.Err
-// would report) on an engine goroutine once every access has applied.
-// Keep fn short — it runs on the drainer that completed the batch.
-func (e *Engine) SubmitBatchFunc(ctx context.Context, accs []directory.Access, fn func(ops []directory.Op, err error)) error {
-	return e.SubmitBatchFuncClass(ctx, qos.Foreground, accs, fn)
-}
-
-// SubmitBatchFuncClass is SubmitBatchFunc with an explicit priority
-// class.
-func (e *Engine) SubmitBatchFuncClass(ctx context.Context, c qos.Class, accs []directory.Access, fn func(ops []directory.Op, err error)) error {
-	if fn == nil {
-		return errors.New("engine: SubmitBatchFunc with nil callback (use SubmitDetached)")
-	}
-	_, err := e.submitBatch(ctx, c, accs, true, fn)
-	return err
-}
-
-// SubmitDetached enqueues a batch fire-and-forget at the default
-// (Foreground) class: no ticket, no Op recording — the cheapest
-// submission path (Flush still covers it). The batch is copied during
-// routing, so the caller may reuse its slice as soon as SubmitDetached
-// returns (there is no ticket that could signal a safe-reuse point
-// otherwise).
-func (e *Engine) SubmitDetached(ctx context.Context, accs []directory.Access) error {
-	_, err := e.submitBatch(ctx, qos.Foreground, accs, false, nil)
-	return err
-}
-
-// SubmitDetachedClass is SubmitDetached with an explicit priority
-// class — the bulk-load fast path: background fills ride the background
-// ring and shed first under saturation.
-func (e *Engine) SubmitDetachedClass(ctx context.Context, c qos.Class, accs []directory.Access) error {
-	_, err := e.submitBatch(ctx, c, accs, false, nil)
-	return err
-}
-
-func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.Access, record bool, fn func([]directory.Op, error)) (*Ticket, error) {
+// submit is the one enqueue body behind Submit: validate, route the
+// batch into per-drainer sub-batches, attach the ticket, send.
+func (e *Engine) submit(ctx context.Context, accs []directory.Access, o SubmitOptions) (*Ticket, error) {
+	c := o.Class
 	if !c.Valid() {
 		return nil, fmt.Errorf("engine: unknown class %d", c)
+	}
+	if o.Detached && o.OnDone != nil {
+		return nil, errors.New("engine: Submit with both OnDone and Detached")
 	}
 	if len(accs) == 0 {
 		return nil, errors.New("engine: empty batch")
@@ -772,7 +740,7 @@ func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.
 
 	// Route the batch: per-drainer sub-batches, in batch order.
 	D := e.opt.Drainers
-	recording := record || fn != nil
+	recording := !o.Detached
 	var reqs []request
 	var queues []int
 	if D == 1 {
@@ -815,9 +783,9 @@ func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.
 	}
 
 	var t *Ticket
-	if record || fn != nil {
+	if recording {
 		ops := make([]directory.Op, len(accs))
-		t = newTicket(len(reqs), ops, fn)
+		t = newTicket(len(reqs), ops, o.OnDone)
 		for i := range reqs {
 			reqs[i].t = t
 			if reqs[i].idxs == nil {
@@ -828,7 +796,7 @@ func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.
 	if err := e.send(ctx, c, queues, reqs); err != nil {
 		return nil, err
 	}
-	if !record {
+	if o.OnDone != nil {
 		return nil, nil
 	}
 	return t, nil

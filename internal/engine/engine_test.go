@@ -103,7 +103,7 @@ func TestSubmitMatchesSequential(t *testing.T) {
 			var tk *Ticket
 			var err error
 			if n == 1 {
-				tk, err = eng.Submit(ctx, accs[base])
+				tk, err = eng.SubmitBatch(ctx, []directory.Access{accs[base]})
 			} else {
 				tk, err = eng.SubmitBatch(ctx, accs[base:base+n])
 			}
@@ -163,12 +163,12 @@ func TestPerShardFIFO(t *testing.T) {
 	ctx := context.Background()
 	for i, addr := range addrs {
 		i := i
-		err := eng.SubmitBatchFunc(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addr, Cache: i % testCores}},
-			func([]directory.Op, error) {
+		_, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addr, Cache: i % testCores}},
+			SubmitOptions{OnDone: func([]directory.Op, error) {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,9 +186,9 @@ func TestPerShardFIFO(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchFuncOps: the callback receives the batch's Ops in
+// TestSubmitOnDoneOps: the callback receives the batch's Ops in
 // submission order, equal to the sequential reference.
-func TestSubmitBatchFuncOps(t *testing.T) {
+func TestSubmitOnDoneOps(t *testing.T) {
 	dir := testDir(t, 4)
 	ref := testDir(t, 4)
 	eng, err := New(dir, Options{})
@@ -198,7 +198,7 @@ func TestSubmitBatchFuncOps(t *testing.T) {
 	accs := randomAccesses(13, 500)
 	want := applySequential(ref, accs)
 	done := make(chan []directory.Op, 1)
-	if err := eng.SubmitBatchFunc(context.Background(), accs, func(ops []directory.Op, _ error) { done <- ops }); err != nil {
+	if _, err := eng.Submit(context.Background(), accs, SubmitOptions{OnDone: func(ops []directory.Op, _ error) { done <- ops }}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(context.Background()); err != nil {
@@ -211,9 +211,6 @@ func TestSubmitBatchFuncOps(t *testing.T) {
 		}
 	default:
 		t.Fatal("Flush returned before the batch's callback fired")
-	}
-	if err := eng.SubmitBatchFunc(context.Background(), accs[:1], nil); err == nil {
-		t.Fatal("nil callback accepted")
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -236,7 +233,7 @@ func TestFlushCoversDetached(t *testing.T) {
 		if end > n {
 			end = n
 		}
-		if err := eng.SubmitDetached(ctx, accs[base:end]); err != nil {
+		if _, err := eng.Submit(ctx, accs[base:end], SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +263,7 @@ func TestCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := eng.SubmitDetached(ctx, randomAccesses(31, 300)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(31, 300), SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -278,11 +275,11 @@ func TestCloseSemantics(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead}); !errors.Is(err, ErrClosed) {
+	if _, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
 	}
-	if err := eng.SubmitDetached(ctx, randomAccesses(1, 2)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitDetached after Close: %v, want ErrClosed", err)
+	if _, err := eng.Submit(ctx, randomAccesses(1, 2), SubmitOptions{Detached: true}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("detached Submit after Close: %v, want ErrClosed", err)
 	}
 	if err := eng.Flush(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Flush after Close: %v, want ErrClosed", err)
@@ -340,14 +337,14 @@ func TestCoalescedRunsMatchSequential(t *testing.T) {
 					}
 					tickets, spans = append(tickets, tk), append(spans, base)
 				case 1:
-					tk, err := eng.Submit(ctx, accs[base])
+					tk, err := eng.SubmitBatch(ctx, []directory.Access{accs[base]})
 					if err != nil {
 						t.Fatal(err)
 					}
 					tickets, spans = append(tickets, tk), append(spans, base)
 					n = 1
 				default:
-					if err := eng.SubmitDetached(ctx, accs[base:base+n]); err != nil {
+					if _, err := eng.Submit(ctx, accs[base:base+n], SubmitOptions{Detached: true}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -422,7 +419,7 @@ func TestRejectWhenFull(t *testing.T) {
 	ctx := context.Background()
 	accepted, rejected := 0, 0
 	for i := 0; i < 32; i++ {
-		err := eng.SubmitDetached(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}})
+		_, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}}, SubmitOptions{Detached: true})
 		switch {
 		case err == nil:
 			accepted++
@@ -446,7 +443,7 @@ func TestRejectWhenFull(t *testing.T) {
 		t.Fatalf("stats.Rejected = %d, want %d", st.Rejected, rejected)
 	}
 	// Capacity is available again: a fresh submission is accepted.
-	if err := eng.SubmitDetached(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 99, Cache: 1}}); err != nil {
+	if _, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 99, Cache: 1}}, SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -471,7 +468,7 @@ func TestBlockWhenFullHonorsContext(t *testing.T) {
 	// ring before a submitter truly blocks.
 	for i := 0; i < maxCoalesceReqs+4; i++ {
 		cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		err = eng.SubmitDetached(cctx, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}})
+		_, err = eng.Submit(cctx, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}}, SubmitOptions{Detached: true})
 		cancel()
 		if err != nil {
 			break
@@ -479,7 +476,7 @@ func TestBlockWhenFullHonorsContext(t *testing.T) {
 	}
 	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	err = eng.SubmitDetached(cctx, []directory.Access{{Kind: directory.AccessRead, Addr: 7, Cache: 1}})
+	_, err = eng.Submit(cctx, []directory.Access{{Kind: directory.AccessRead, Addr: 7, Cache: 1}}, SubmitOptions{Detached: true})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked submit: %v, want DeadlineExceeded", err)
 	}
@@ -526,12 +523,12 @@ func TestConcurrentProducers(t *testing.T) {
 					}
 					_ = tk.Ops()
 				case 1:
-					if err := eng.SubmitDetached(ctx, accs[base:base+n]); err != nil {
+					if _, err := eng.Submit(ctx, accs[base:base+n], SubmitOptions{Detached: true}); err != nil {
 						t.Error(err)
 						return
 					}
 				default:
-					if err := eng.SubmitBatchFunc(ctx, accs[base:base+n], func([]directory.Op, error) {}); err != nil {
+					if _, err := eng.Submit(ctx, accs[base:base+n], SubmitOptions{OnDone: func([]directory.Op, error) {}}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -572,16 +569,19 @@ func TestValidation(t *testing.T) {
 		t.Errorf("drainers clamped to %d, want the 4 shards", got)
 	}
 	ctx := context.Background()
-	if _, err := eng.Submit(ctx, directory.Access{Kind: 9}); err == nil {
+	if _, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: 9}}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := eng.Submit(ctx, directory.Access{Cache: testCores}); err == nil {
+	if _, err := eng.SubmitBatch(ctx, []directory.Access{{Cache: testCores}}); err == nil {
 		t.Error("out-of-range cache accepted")
 	}
 	if _, err := eng.SubmitBatch(ctx, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	tk, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: 1, Cache: 0})
+	if _, err := eng.Submit(ctx, randomAccesses(1, 1), SubmitOptions{Class: 9}); err == nil {
+		t.Error("unknown class accepted")
+	}
+	tk, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

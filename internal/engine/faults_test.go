@@ -91,7 +91,7 @@ func TestApplyPanicContainment(t *testing.T) {
 
 	// Submissions touching the quarantined shard now fail fast, on the
 	// submitter's stack.
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: poisonAddr, Cache: 0}); !errors.Is(err, ErrShardQuarantined) {
+	if _, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: poisonAddr, Cache: 0}}); !errors.Is(err, ErrShardQuarantined) {
 		t.Fatalf("Submit to quarantined shard = %v, want ErrShardQuarantined", err)
 	}
 	// A batch spanning the quarantined shard fails whole.
@@ -214,11 +214,11 @@ func TestDeadlineShed(t *testing.T) {
 	defer eng.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: 0, Cache: 0}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 0, Cache: 0}}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("Submit with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
-	if err := eng.SubmitDetached(ctx, randomAccesses(1, 8)); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("SubmitDetached with expired deadline = %v, want ErrDeadlineExceeded", err)
+	if _, err := eng.Submit(ctx, randomAccesses(1, 8), SubmitOptions{Detached: true}); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("detached Submit with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 	if shed := eng.Stats().Shed; shed != 2 {
 		t.Errorf("Stats.Shed = %d, want 2", shed)
@@ -226,7 +226,7 @@ func TestDeadlineShed(t *testing.T) {
 	// A live deadline submits normally.
 	lctx, lcancel := context.WithTimeout(context.Background(), time.Minute)
 	defer lcancel()
-	tk, err := eng.Submit(lctx, directory.Access{Kind: directory.AccessRead, Addr: 0, Cache: 0})
+	tk, err := eng.SubmitBatch(lctx, []directory.Access{{Kind: directory.AccessRead, Addr: 0, Cache: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +235,11 @@ func TestDeadlineShed(t *testing.T) {
 	}
 }
 
-// TestSubmitRetryBacksOffOverQueueFull: injected queue saturation
-// rejects the first attempts; SubmitRetry's capped backoff rides
+// TestRetryBacksOffOverQueueFull: injected queue saturation rejects
+// the first attempts; SubmitOptions.Retry's capped backoff rides
 // through exactly as many rejections as are injected, and gives up with
 // ErrQueueFull when the attempt budget is smaller than the fault.
-func TestSubmitRetryBacksOffOverQueueFull(t *testing.T) {
+func TestRetryBacksOffOverQueueFull(t *testing.T) {
 	dir := testDir(t, 2)
 	inj := faults.New()
 	inj.Arm(faults.QueueSaturation, faults.Trigger{Key: faults.AnyKey, Count: 3})
@@ -251,9 +251,9 @@ func TestSubmitRetryBacksOffOverQueueFull(t *testing.T) {
 	ctx := context.Background()
 	accs := []directory.Access{{Kind: directory.AccessWrite, Addr: 7, Cache: 0}}
 
-	tk, err := eng.SubmitRetry(ctx, accs, RetryOptions{Attempts: 5, BaseDelay: 10 * time.Microsecond, Seed: 1})
+	tk, err := eng.Submit(ctx, accs, SubmitOptions{Retry: &RetryOptions{Attempts: 5, BaseDelay: 10 * time.Microsecond, Seed: 1}})
 	if err != nil {
-		t.Fatalf("SubmitRetry over 3 injected rejections = %v, want success", err)
+		t.Fatalf("Retry over 3 injected rejections = %v, want success", err)
 	}
 	if werr := tk.Wait(ctx); werr != nil {
 		t.Fatal(werr)
@@ -267,16 +267,16 @@ func TestSubmitRetryBacksOffOverQueueFull(t *testing.T) {
 
 	// Budget smaller than the fault: the last rejection surfaces.
 	inj.Arm(faults.QueueSaturation, faults.Trigger{Key: faults.AnyKey})
-	if _, err := eng.SubmitRetry(ctx, accs, RetryOptions{Attempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 2}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("SubmitRetry with exhausted budget = %v, want ErrQueueFull", err)
+	if _, err := eng.Submit(ctx, accs, SubmitOptions{Retry: &RetryOptions{Attempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 2}}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Retry with exhausted budget = %v, want ErrQueueFull", err)
 	}
 	inj.Disarm(faults.QueueSaturation)
 	// Retrying is pointless over non-ErrQueueFull errors: expired
 	// deadlines return immediately.
 	dctx, dcancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := eng.SubmitRetry(dctx, accs, RetryOptions{}); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("SubmitRetry with expired deadline = %v, want ErrDeadlineExceeded", err)
+	if _, err := eng.Submit(dctx, accs, SubmitOptions{Retry: &RetryOptions{}}); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("Retry with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 }
 
@@ -302,7 +302,7 @@ func TestGrowFailureSurfaced(t *testing.T) {
 	for a := uint64(0); a < 200; a++ {
 		accs = append(accs, directory.Access{Kind: directory.AccessWrite, Addr: a, Cache: int(a % 8)})
 	}
-	if err := eng.SubmitDetached(ctx, accs); err != nil {
+	if _, err := eng.Submit(ctx, accs, SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -343,7 +343,7 @@ func TestMigrationPanicQuarantine(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		accs = append(accs, directory.Access{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 0, uint64(i*2)), Cache: 0})
 	}
-	if err := eng.SubmitDetached(ctx, accs); err != nil {
+	if _, err := eng.Submit(ctx, accs, SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -359,7 +359,7 @@ func TestMigrationPanicQuarantine(t *testing.T) {
 		h := eng.Health()
 		return len(h.QuarantinedShards) == 1 && h.QuarantinedShards[0] == 0
 	})
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: addrOnShard(dir, 0, 0), Cache: 0}); !errors.Is(err, ErrShardQuarantined) {
+	if _, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 0, 0), Cache: 0}}); !errors.Is(err, ErrShardQuarantined) {
 		t.Fatalf("Submit to quarantined shard = %v, want ErrShardQuarantined", err)
 	}
 	tk, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 1, 0), Cache: 1}})
@@ -389,7 +389,7 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(3, 64)); err != nil {
+		if _, err := eng.Submit(context.Background(), randomAccesses(3, 64), SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 		// Close must break the (never-released) stall via its stop
@@ -413,19 +413,24 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 		// would be coalesced into the stalled run, leaving the buffer
 		// empty), then fill the one-deep queue behind it, then block a
 		// sender on the full queue and cancel it out.
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(4, 4)); err != nil {
+		if _, err := eng.Submit(context.Background(), randomAccesses(4, 4), SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "drainer to park on the stall", func() bool {
 			return inj.Fired(faults.DrainerStall) >= 1
 		})
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(5, 4)); err != nil {
+		if _, err := eng.Submit(context.Background(), randomAccesses(5, 4), SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
-		go func() { errc <- eng.SubmitDetached(ctx, randomAccesses(6, 4)) }()
-		time.Sleep(10 * time.Millisecond)
+		go func() {
+			_, err := eng.Submit(ctx, randomAccesses(6, 4), SubmitOptions{Detached: true})
+			errc <- err
+		}()
+		// Parked run + queued request + the sender's own depth bump,
+		// which send makes before its blocking select.
+		waitFor(t, "sender to block on the full queue", func() bool { return eng.Pending() >= 3 })
 		cancel()
 		if err := <-errc; !errors.Is(err, context.Canceled) {
 			t.Fatalf("blocked sender after cancel = %v, want context.Canceled", err)
@@ -445,13 +450,13 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(7, 4)); err != nil {
+		if _, err := eng.Submit(context.Background(), randomAccesses(7, 4), SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "drainer to park on the stall", func() bool {
 			return inj.Fired(faults.DrainerStall) >= 1
 		})
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(8, 4)); err != nil {
+		if _, err := eng.Submit(context.Background(), randomAccesses(8, 4), SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -459,9 +464,9 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 		var senderErr error
 		go func() {
 			defer wg.Done()
-			senderErr = eng.SubmitDetached(context.Background(), randomAccesses(9, 4))
+			_, senderErr = eng.Submit(context.Background(), randomAccesses(9, 4), SubmitOptions{Detached: true})
 		}()
-		time.Sleep(10 * time.Millisecond)
+		waitFor(t, "sender to block on the full queue", func() bool { return eng.Pending() >= 3 })
 		// Close's stop channel breaks the stall, the drainer drains, the
 		// sender's enqueue completes (it beat the closed flag), and
 		// everything shuts down.
@@ -489,7 +494,7 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			accs = append(accs, directory.Access{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 0, uint64(i*2)), Cache: 0})
 		}
-		if err := eng.SubmitDetached(ctx, accs); err != nil {
+		if _, err := eng.Submit(ctx, accs, SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Flush(ctx); err != nil {
@@ -522,7 +527,7 @@ func TestHealthOnHealthyEngine(t *testing.T) {
 	}
 	defer eng.Close()
 	ctx := context.Background()
-	if err := eng.SubmitDetached(ctx, randomAccesses(11, 512)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(11, 512), SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {

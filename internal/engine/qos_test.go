@@ -2,16 +2,19 @@
 // class-less submissions stay Foreground, strict priority reorders
 // foreground ahead of parked background work, per-class backpressure
 // sheds a saturated background ring without touching foreground
-// admission, the class-keyed saturation fault targets one class, the
-// retry backoff never overshoots a context deadline, and Flush/Close
-// cover both rings. CI's chaos-smoke job runs this file under -race.
+// admission, the class-keyed saturation fault targets one class, every
+// Submit mode rides it the same way, the retry backoff never overshoots
+// a context deadline, and Flush/Close cover both rings. CI's chaos-smoke job runs this file under -race.
 
 package engine
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,9 +23,10 @@ import (
 	"cuckoodir/internal/qos"
 )
 
-// TestClasslessSubmitsAreForeground: every legacy submission path
-// accounts as Foreground — existing clients get the latency-critical
-// class without code changes, and Background stays untouched.
+// TestClasslessSubmitsAreForeground: a submission that leaves
+// SubmitOptions.Class zero (SubmitBatch included) accounts as
+// Foreground — clients get the latency-critical class without asking
+// for it, and Background stays untouched.
 func TestClasslessSubmitsAreForeground(t *testing.T) {
 	eng, err := New(testDir(t, 2), Options{})
 	if err != nil {
@@ -31,14 +35,14 @@ func TestClasslessSubmitsAreForeground(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 
-	tk, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: 1, Cache: 0})
+	tk, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if werr := tk.Wait(ctx); werr != nil {
 		t.Fatal(werr)
 	}
-	if err := eng.SubmitDetached(ctx, randomAccesses(1, 7)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(1, 7), SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -91,12 +95,12 @@ func TestStrictPriorityDrainOrder(t *testing.T) {
 	}
 	// Background first, foreground second — submission order, which
 	// strict priority must invert at the drain.
-	if err := eng.SubmitBatchFuncClass(ctx, qos.Background,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 0), Cache: 1}}, note(qos.Background)); err != nil {
+	if _, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 0), Cache: 1}},
+		SubmitOptions{Class: qos.Background, OnDone: note(qos.Background)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitBatchFuncClass(ctx, qos.Foreground,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 64), Cache: 2}}, note(qos.Foreground)); err != nil {
+	if _, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 64), Cache: 2}},
+		SubmitOptions{Class: qos.Foreground, OnDone: note(qos.Foreground)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,7 +137,7 @@ func TestWeightedDeficitCompletesBothClasses(t *testing.T) {
 			if i%2 == 1 {
 				c = qos.Background
 			}
-			if err := eng.SubmitDetachedClass(ctx, c, randomAccesses(uint64(i), 32)); err != nil {
+			if _, err := eng.Submit(ctx, randomAccesses(uint64(i), 32), SubmitOptions{Class: c, Detached: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -195,14 +199,14 @@ func TestClassSaturationShedsBackgroundFirst(t *testing.T) {
 
 	// Fill the background ring exactly to its depth.
 	for i := 0; i < depth; i++ {
-		if err := eng.SubmitDetachedClass(ctx, qos.Background,
-			[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, uint64(i*64)), Cache: 1}}); err != nil {
+		if _, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, uint64(i*64)), Cache: 1}},
+			SubmitOptions{Class: qos.Background, Detached: true}); err != nil {
 			t.Fatalf("background fill %d: %v", i, err)
 		}
 	}
 	// The next background submission sheds, and names its class.
-	err = eng.SubmitDetachedClass(ctx, qos.Background,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 512), Cache: 1}})
+	_, err = eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 512), Cache: 1}},
+		SubmitOptions{Class: qos.Background, Detached: true})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("background over depth = %v, want ErrQueueFull", err)
 	}
@@ -212,8 +216,8 @@ func TestClassSaturationShedsBackgroundFirst(t *testing.T) {
 	}
 
 	// Foreground admission is untouched by the saturated background ring.
-	fg, err := eng.SubmitBatchClass(ctx, qos.Foreground,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 1024), Cache: 2}})
+	fg, err := eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 1024), Cache: 2}},
+		SubmitOptions{Class: qos.Foreground})
 	if err != nil {
 		t.Fatalf("foreground submit during background saturation = %v, want success", err)
 	}
@@ -255,14 +259,14 @@ func TestQueueSaturationFaultClassKeyed(t *testing.T) {
 	accs := []directory.Access{{Kind: directory.AccessRead, Addr: 3, Cache: 0}}
 
 	for i := 0; i < 2; i++ {
-		err := eng.SubmitDetachedClass(ctx, qos.Background, accs)
+		_, err := eng.Submit(ctx, accs, SubmitOptions{Class: qos.Background, Detached: true})
 		var qf *QueueFullError
 		if !errors.As(err, &qf) || qf.Class != qos.Background {
 			t.Fatalf("background submit %d = %v, want class-tagged ErrQueueFull", i, err)
 		}
 	}
 	// Foreground never observes the background-keyed fault.
-	tk, err := eng.SubmitBatchClass(ctx, qos.Foreground, accs)
+	tk, err := eng.Submit(ctx, accs, SubmitOptions{Class: qos.Foreground})
 	if err != nil {
 		t.Fatalf("foreground submit under background-keyed fault = %v", err)
 	}
@@ -270,7 +274,7 @@ func TestQueueSaturationFaultClassKeyed(t *testing.T) {
 		t.Fatal(werr)
 	}
 	// The fault budget spent, background submits normally again.
-	if err := eng.SubmitDetachedClass(ctx, qos.Background, accs); err != nil {
+	if _, err := eng.Submit(ctx, accs, SubmitOptions{Class: qos.Background, Detached: true}); err != nil {
 		t.Fatalf("background submit after fault retired = %v", err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -281,12 +285,161 @@ func TestQueueSaturationFaultClassKeyed(t *testing.T) {
 	}
 }
 
-// TestSubmitRetryDeadlineCap: backoff sleeps are capped at the context
+// TestSubmitModesUnderSaturation drives every Submit mode — {Foreground,
+// Background} x {ticket, OnDone, Detached} x {Retry nil, set}, over a
+// single drainer and over one drainer per shard — through a
+// RejectWhenFull engine whose class-keyed saturation fault rejects the
+// first k attempts of the submitting class. Without Retry the caller
+// resubmits by hand; with Retry the backoff loop rides the rejections.
+// Either way the accepted batch applies exactly as a direct
+// ApplyShardOps replay does, OnDone fires exactly once (never for a
+// rejected attempt), and the per-class counters are exact. A stall
+// parks the first apply while a detached caller scribbles over its
+// slice, so a batch aliased instead of copied would apply the
+// scribbles.
+func TestSubmitModesUnderSaturation(t *testing.T) {
+	const k = 2
+	type mode int
+	const (
+		ticketed mode = iota
+		onDone
+		detached
+	)
+	modeNames := []string{"ticket", "ondone", "detached"}
+	type tcase struct {
+		class    qos.Class
+		mode     mode
+		retry    bool
+		drainers int
+	}
+	var cases []tcase
+	for _, c := range []qos.Class{qos.Foreground, qos.Background} {
+		for _, m := range []mode{ticketed, onDone, detached} {
+			for _, retry := range []bool{false, true} {
+				for _, drainers := range []int{1, 4} {
+					cases = append(cases, tcase{c, m, retry, drainers})
+				}
+			}
+		}
+	}
+	accs := randomAccesses(41, 200)
+	ref := testDir(t, 4)
+	want := make([]directory.Op, len(accs))
+	for i, a := range accs {
+		ref.ApplyShardOps(ref.ShardOf(a.Addr), accs[i:i+1], want[i:i+1])
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%v/%s/retry=%v/drainers=%d", tc.class, modeNames[tc.mode], tc.retry, tc.drainers)
+		t.Run(name, func(t *testing.T) {
+			inj := faults.New()
+			inj.Arm(faults.QueueSaturation, faults.Trigger{Key: int(tc.class), Count: k})
+			stall := inj.Arm(faults.DrainerStall, faults.Trigger{Key: faults.AnyKey, Count: 1})
+			dir := testDir(t, 4)
+			eng, err := New(dir, Options{Drainers: tc.drainers, Policy: RejectWhenFull, Faults: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+			batch := append([]directory.Access(nil), accs...)
+
+			var fired atomic.Int32
+			var got []directory.Op
+			o := SubmitOptions{Class: tc.class, Detached: tc.mode == detached}
+			if tc.mode == onDone {
+				o.OnDone = func(ops []directory.Op, err error) {
+					if err != nil {
+						t.Errorf("OnDone error %v", err)
+					}
+					got = ops
+					fired.Add(1)
+				}
+			}
+			if tc.retry {
+				o.Retry = &RetryOptions{Attempts: k + 1, BaseDelay: 10 * time.Microsecond, Seed: 3}
+			}
+			var tk *Ticket
+			for attempt := 0; ; attempt++ {
+				tk, err = eng.Submit(ctx, batch, o)
+				if err == nil {
+					break
+				}
+				var qf *QueueFullError
+				if tc.retry || attempt >= k || !errors.As(err, &qf) || qf.Class != tc.class {
+					t.Fatalf("attempt %d = %v, want success or a %v queue-full rejection", attempt, err, tc.class)
+				}
+				// A barrier applies nothing, so the stall stays armed.
+				if ferr := eng.Flush(ctx); ferr != nil {
+					t.Fatal(ferr)
+				}
+				if n := fired.Load(); n != 0 {
+					t.Fatalf("OnDone fired %d times for a rejected attempt", n)
+				}
+			}
+			if (tk != nil) != (tc.mode == ticketed) {
+				t.Fatalf("ticket = %v in mode %s", tk, modeNames[tc.mode])
+			}
+			if tc.mode == detached {
+				for i := range batch {
+					batch[i] = directory.Access{Kind: directory.AccessWrite, Addr: 1 << 40, Cache: 0}
+				}
+			}
+			stall.Release()
+			if err := eng.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			switch tc.mode {
+			case ticketed:
+				if err := tk.Err(); err != nil {
+					t.Fatal(err)
+				}
+				got = tk.Ops()
+			case onDone:
+				if n := fired.Load(); n != 1 {
+					t.Fatalf("OnDone fired %d times, want 1", n)
+				}
+			}
+			if tc.mode != detached && !reflect.DeepEqual(got, want) {
+				t.Fatal("ops differ from the ApplyShardOps replay")
+			}
+			sameState(t, dir, ref)
+
+			st := eng.Stats()
+			n := uint64(len(accs))
+			for c := qos.Class(0); c < qos.NumClasses; c++ {
+				cs := st.Classes[c]
+				wantAcc, wantRej := uint64(0), uint64(0)
+				if c == tc.class {
+					wantAcc, wantRej = n, k
+				}
+				if cs.SubmittedAccesses != wantAcc || cs.CompletedAccesses != wantAcc || cs.Rejected != wantRej {
+					t.Errorf("class %v: submitted/completed/rejected = %d/%d/%d, want %d/%d/%d",
+						c, cs.SubmittedAccesses, cs.CompletedAccesses, cs.Rejected, wantAcc, wantAcc, wantRej)
+				}
+			}
+		})
+	}
+
+	// OnDone and Detached together are refused before anything enqueues.
+	eng, err := New(testDir(t, 4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Submit(context.Background(), accs, SubmitOptions{Detached: true, OnDone: func([]directory.Op, error) {}}); err == nil {
+		t.Fatal("OnDone with Detached accepted")
+	}
+	if st := eng.Stats(); st.SubmittedAccesses != 0 {
+		t.Fatalf("refused submission enqueued %d accesses", st.SubmittedAccesses)
+	}
+}
+
+// TestRetryDeadlineCap: backoff sleeps are capped at the context
 // deadline — a retry loop against a saturated engine returns
 // ErrDeadlineExceeded promptly at expiry (through the same pre-enqueue
 // shed as any doomed submission, counted per class) instead of
 // oversleeping a backoff step past it.
-func TestSubmitRetryDeadlineCap(t *testing.T) {
+func TestRetryDeadlineCap(t *testing.T) {
 	inj := faults.New()
 	inj.Arm(faults.QueueSaturation, faults.Trigger{Key: faults.AnyKey, Count: 1 << 30})
 	eng, err := New(testDir(t, 2), Options{Faults: inj})
@@ -299,17 +452,17 @@ func TestSubmitRetryDeadlineCap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
-	_, err = eng.SubmitRetry(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}},
-		RetryOptions{Attempts: 1 << 20, BaseDelay: 40 * time.Millisecond, MaxDelay: time.Second, Seed: 2})
+	_, err = eng.Submit(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}},
+		SubmitOptions{Retry: &RetryOptions{Attempts: 1 << 20, BaseDelay: 40 * time.Millisecond, MaxDelay: time.Second, Seed: 2}})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("SubmitRetry past deadline = %v, want ErrDeadlineExceeded", err)
+		t.Fatalf("Retry past deadline = %v, want ErrDeadlineExceeded", err)
 	}
 	// Uncapped, the first backoff alone could sleep to ~40ms and later
 	// ones to a full second; capped, the loop wakes at expiry. Allow
 	// generous scheduler slop without admitting a whole backoff step.
 	if elapsed > budget+500*time.Millisecond {
-		t.Errorf("SubmitRetry returned after %v, want ~%v (deadline-capped backoff)", elapsed, budget)
+		t.Errorf("Retry returned after %v, want ~%v (deadline-capped backoff)", elapsed, budget)
 	}
 	if got := eng.Stats().Classes[qos.Foreground].Shed; got == 0 {
 		t.Error("deadline expiry not counted in the class's Shed")
@@ -326,10 +479,10 @@ func TestFlushAndCloseCoverBothClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(3, 50)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(3, 50), SubmitOptions{Class: qos.Foreground, Detached: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitDetachedClass(ctx, qos.Background, randomAccesses(4, 70)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(4, 70), SubmitOptions{Class: qos.Background, Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -341,10 +494,10 @@ func TestFlushAndCloseCoverBothClasses(t *testing.T) {
 			s.Classes[qos.Foreground].CompletedAccesses, s.Classes[qos.Background].CompletedAccesses)
 	}
 
-	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(5, 30)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(5, 30), SubmitOptions{Class: qos.Foreground, Detached: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitDetachedClass(ctx, qos.Background, randomAccesses(6, 40)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(6, 40), SubmitOptions{Class: qos.Background, Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -372,7 +525,7 @@ func TestHealthReportsClassLatency(t *testing.T) {
 		if i%2 == 1 {
 			c = qos.Background
 		}
-		if err := eng.SubmitDetachedClass(ctx, c, randomAccesses(uint64(10+i), 16)); err != nil {
+		if _, err := eng.Submit(ctx, randomAccesses(uint64(10+i), 16), SubmitOptions{Class: c, Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,7 +33,7 @@ func resizableDir(t testing.TB, shards, sets int) *directory.ShardedDirectory {
 }
 
 // engineProducer churns a disjoint address range as cache p through
-// SubmitDetached batches, maintaining an exact local oracle (valid as
+// detached Submit batches, maintaining an exact local oracle (valid as
 // long as no forced eviction occurs — callers assert that). passes > 1
 // re-runs the churn so traffic stays live across a mid-stream resize.
 func engineProducer(t *testing.T, eng *Engine, p int, lo, hi uint64, passes int) map[uint64]uint64 {
@@ -44,7 +44,7 @@ func engineProducer(t *testing.T, eng *Engine, p int, lo, hi uint64, passes int)
 	add := func(k directory.AccessKind, addr uint64) {
 		batch = append(batch, directory.Access{Kind: k, Addr: addr, Cache: p})
 		if len(batch) >= 48 {
-			if err := eng.SubmitDetached(ctx, batch); err != nil {
+			if _, err := eng.Submit(ctx, batch, SubmitOptions{Detached: true}); err != nil {
 				t.Error(err)
 			}
 			batch = nil
@@ -65,7 +65,7 @@ func engineProducer(t *testing.T, eng *Engine, p int, lo, hi uint64, passes int)
 		}
 	}
 	if len(batch) > 0 {
-		if err := eng.SubmitDetached(ctx, batch); err != nil {
+		if _, err := eng.Submit(ctx, batch, SubmitOptions{Detached: true}); err != nil {
 			t.Error(err)
 		}
 	}
@@ -108,6 +108,17 @@ func TestResizeCensusUnderEngine(t *testing.T) {
 	const producers = 4
 	const perProducer = 300
 	dir := resizableDir(t, 4, 256)
+	// Seed shard 0 before any producer runs, outside every producer's
+	// range: the resize below must find a non-empty shard however the
+	// scheduler orders the drainers (an empty shard resizes in place,
+	// with no drainer migration to count).
+	seeded := map[uint64]uint64{}
+	for a := uint64(1 << 20); len(seeded) < 16; a++ {
+		a = addrOnShard(dir, 0, a)
+		dir.Read(a, 0)
+		seeded[a] = 1
+	}
+	seedOps := dir.Counters().Ops()
 	eng, err := New(dir, Options{MigrationRun: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +142,7 @@ func TestResizeCensusUnderEngine(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		for dir.Counters().Ops() < uint64(producers*perProducer) {
+		for dir.Counters().Ops() < seedOps+uint64(producers*perProducer) {
 			time.Sleep(100 * time.Microsecond)
 		}
 		if err := eng.ResizeShardSpec(0, directory.Spec{
@@ -177,7 +188,7 @@ func TestResizeCensusUnderEngine(t *testing.T) {
 	if es.MigratedEntries == 0 {
 		t.Error("engine stats: the drainers report zero migrated entries")
 	}
-	want := map[uint64]uint64{}
+	want := seeded
 	for _, truth := range truths {
 		for addr, sharers := range truth {
 			want[addr] = sharers
@@ -210,14 +221,14 @@ func TestEngineAutoGrow(t *testing.T) {
 		batch = append(batch, directory.Access{Kind: directory.AccessWrite, Addr: addr, Cache: int(addr % 8)})
 		truth[addr] = 1 << (addr % 8)
 		if len(batch) == 32 {
-			if err := eng.SubmitDetached(ctx, batch); err != nil {
+			if _, err := eng.Submit(ctx, batch, SubmitOptions{Detached: true}); err != nil {
 				t.Fatal(err)
 			}
 			batch = nil
 		}
 	}
 	if len(batch) > 0 {
-		if err := eng.SubmitDetached(ctx, batch); err != nil {
+		if _, err := eng.Submit(ctx, batch, SubmitOptions{Detached: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,11 +342,11 @@ func TestEngineLifecycleMidMigration(t *testing.T) {
 			var order []int
 			for i := 0; i < 20; i++ {
 				i := i
-				if err := eng.SubmitBatchFunc(ctx, shard0[i*3:i*3+3], func([]directory.Op, error) {
+				if _, err := eng.Submit(ctx, shard0[i*3:i*3+3], SubmitOptions{OnDone: func([]directory.Op, error) {
 					mu.Lock()
 					order = append(order, i)
 					mu.Unlock()
-				}); err != nil {
+				}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -407,7 +418,7 @@ func TestEngineResizeErrors(t *testing.T) {
 		t.Error("invalid spec accepted")
 	}
 	// Double resize: the second must surface ErrResizeInProgress.
-	if _, err := eng.Submit(context.Background(), directory.Access{Kind: directory.AccessWrite, Addr: 1, Cache: 0}); err != nil {
+	if _, err := eng.SubmitBatch(context.Background(), []directory.Access{{Kind: directory.AccessWrite, Addr: 1, Cache: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(context.Background()); err != nil {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/faults"
@@ -171,19 +170,19 @@ func TestTicketAbandonedMidEnqueue(t *testing.T) {
 
 	// Park the drainer, then fill the one-deep buffer with a tracked
 	// submission.
-	if err := eng.SubmitDetached(ctx, randomAccesses(21, 4)); err != nil {
+	if _, err := eng.Submit(ctx, randomAccesses(21, 4), SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "drainer to park on the stall", func() bool {
 		return inj.Fired(faults.DrainerStall) >= 1
 	})
 	var queuedFired atomic.Int32
-	if err := eng.SubmitBatchFunc(ctx, randomAccesses(22, 4), func(_ []directory.Op, err error) {
+	if _, err := eng.Submit(ctx, randomAccesses(22, 4), SubmitOptions{OnDone: func(_ []directory.Op, err error) {
 		if err != nil {
 			t.Errorf("queued neighbor's callback got %v", err)
 		}
 		queuedFired.Add(1)
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,11 +191,14 @@ func TestTicketAbandonedMidEnqueue(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- eng.SubmitBatchFunc(cctx, randomAccesses(23, 4), func([]directory.Op, error) {
+		_, err := eng.Submit(cctx, randomAccesses(23, 4), SubmitOptions{OnDone: func([]directory.Op, error) {
 			abandonedFired.Add(1)
-		})
+		}})
+		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	// Parked run + queued neighbor + the victim's own depth bump, which
+	// send makes before its blocking select: the victim is mid-enqueue.
+	waitFor(t, "victim to block on the full queue", func() bool { return eng.Pending() >= 3 })
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sender = %v, want context.Canceled", err)

@@ -540,7 +540,7 @@ func produce(eng *engine.Engine, src Source, numCaches, batchSize int, backgroun
 			bgDebt--
 			class = qos.Background
 		}
-		if err := eng.SubmitDetachedClass(ctx, class, batch); err != nil {
+		if _, err := eng.Submit(ctx, batch, engine.SubmitOptions{Class: class, Detached: true}); err != nil {
 			return err
 		}
 		res.Accesses += uint64(len(batch))
