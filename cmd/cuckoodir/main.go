@@ -19,7 +19,7 @@
 //
 // EXPERIMENTS.md maps each experiment id to the paper artifact it
 // reproduces; README.md's "Trace replay & sweeps" section shows the
-// parallel `trace replay` pipeline (-dir/-shards/-workers/-batch/-home).
+// parallel `trace replay` pipeline (-dir/-shards/-batch/-home/-drainers).
 package main
 
 import (
@@ -244,14 +244,6 @@ func benchCmd(args []string) error {
 			fmt.Printf("%s speedup vs interface dispatch (occ=70): %.2fx\n", op, iface.NsPerOp/fast.NsPerOp)
 		}
 	}
-	// The engine A/B headline: asynchronous submission vs the direct
-	// ApplyShard pipeline on the same single-producer stream.
-	direct, okD := run.Results["replay/shards=8/workers=1"]
-	eng, okE := run.Results["replay/engine/shards=8/producers=1"]
-	if okD && okE && direct.AccPerSec > 0 {
-		fmt.Printf("engine replay throughput vs direct ApplyShard (1 producer): %.0f%%\n",
-			eng.AccPerSec/direct.AccPerSec*100)
-	}
 	if *jsonOut {
 		tr, err := bench.Load(*out)
 		if err != nil {
@@ -296,20 +288,17 @@ func traceCmd(args []string) error {
 	seed := fs.Uint64("seed", 0, "capture seed")
 	kind := fs.String("config", "shared", "replay configuration: shared or private")
 	dir := fs.String("dir", "", "directory organization to replay against (see `orgs`; default: the chosen cuckoo size)")
-	workers := fs.Int("workers", 0, "parallel replay worker goroutines (0 = GOMAXPROCS when the parallel path is selected by -shards/-batch/-home/-engine/a sharded -dir, else sequential replay)")
-	shards := fs.Int("shards", 0, "shard count for parallel replay (0 = from the -dir name, or the effective worker count rounded up to a power of two, minimum 2)")
-	batch := fs.Int("batch", 0, fmt.Sprintf("records per batch in parallel replay (0 = %d; setting it selects the parallel path)", replay.DefaultBatchSize))
+	// Setting any flag below (or naming a sharded -dir) selects parallel
+	// replay through the engine instead of the sequential simulator.
+	shards := fs.Int("shards", 0, "shard count for parallel replay (0 = from the -dir name, or GOMAXPROCS rounded up to a power of two, minimum 2)")
+	batch := fs.Int("batch", 0, fmt.Sprintf("records per submitted batch in parallel replay (0 = %d)", replay.DefaultBatchSize))
 	homeFlag := fs.String("home", "", "shard home function for parallel replay: mix or interleave (default: from the -dir name, else mix)")
-	engineFlag := fs.Bool("engine", false, "submit through the asynchronous DirectoryEngine instead of the direct ApplyShard pipeline (selects the parallel path)")
-	queue := fs.Int("queue", 0, fmt.Sprintf("engine queue depth per drainer, in requests (with -engine; 0 = %d)", engine.DefaultQueueDepth))
-	drainers := fs.Int("drainers", 0, "engine drainer goroutines (with -engine; 0 = one per shard)")
-	background := fs.Float64("background", 0, "fraction (0..1) of batches submitted as the Background QoS class (with -engine)")
-	sched := fs.String("sched", "", "engine drain policy between QoS classes: strict or wdrr (with -engine; default strict)")
+	queue := fs.Int("queue", 0, fmt.Sprintf("engine queue depth per drainer, in requests (0 = %d)", engine.DefaultQueueDepth))
+	drainers := fs.Int("drainers", 0, "engine drainer goroutines (0 = one per shard)")
+	background := fs.Float64("background", 0, "fraction (0..1) of batches submitted as the Background QoS class")
+	sched := fs.String("sched", "", "engine drain policy between QoS classes: strict or wdrr (default strict)")
 	if err := fs.Parse(rest); err != nil {
 		return err
-	}
-	if (*queue != 0 || *drainers != 0 || *background != 0 || *sched != "") && !*engineFlag {
-		return fmt.Errorf("trace: -queue/-drainers/-background/-sched need -engine")
 	}
 	if *file == "" {
 		return fmt.Errorf("trace: -file is required")
@@ -356,9 +345,13 @@ func traceCmd(args []string) error {
 		if err != nil {
 			return fmt.Errorf("trace: -dir: %w (see `cuckoodir orgs`)", err)
 		}
-		if *workers > 0 || *shards > 0 || *batch > 0 || *homeFlag != "" || *engineFlag || spec.Shard.Count > 0 {
-			return replayParallel(rd, spec, *workers, *shards, *batch, *homeFlag,
-				*engineFlag, *queue, *drainers, *background, *sched)
+		if *shards > 0 || *batch > 0 || *homeFlag != "" || *queue != 0 || *drainers != 0 ||
+			*background != 0 || *sched != "" || spec.Shard.Count > 0 {
+			return replayParallel(rd, spec, *shards, *homeFlag, replay.Options{
+				BatchSize:  *batch,
+				Engine:     engine.Options{QueueDepth: *queue, Drainers: *drainers},
+				Background: *background,
+			}, *sched)
 		}
 		prof, err := workload.ByName(*wl)
 		if err != nil {
@@ -381,29 +374,22 @@ func traceCmd(args []string) error {
 	}
 }
 
-// replayParallel is the batched multi-worker replay path of `trace
-// replay`: the trace drives a concurrency-safe ShardedDirectory through
-// internal/replay instead of the sequential functional simulator. It is
-// selected by any of -workers, -shards, -home, -engine, or a sharded
-// -dir name. With -engine the records are submitted asynchronously
-// through a DirectoryEngine (-queue/-drainers size it); -background
-// submits that fraction of batches as the Background QoS class and
-// -sched picks the drain policy arbitrating between the classes, with
-// the per-class latency/reject report appended to the run line.
-func replayParallel(rd *trace.Reader, spec directory.Spec, workers, shards, batch int, homeName string,
-	useEngine bool, queueDepth, drainers int, background float64, sched string) error {
-	// Resolve the effective worker count first: the pipeline defaults
-	// -workers 0 to GOMAXPROCS, and the shard default must match what
-	// will actually run (a `-home` comparison on a 1-shard directory
-	// would be a no-op).
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// replayParallel is the batched replay path of `trace replay`: the
+// trace drives a concurrency-safe ShardedDirectory through an
+// asynchronous DirectoryEngine (internal/replay) instead of the
+// sequential functional simulator. It is selected by any of -shards,
+// -batch, -home, -queue, -drainers, -background, -sched, or a sharded
+// -dir name. -queue/-drainers size the engine; -background submits that
+// fraction of batches as the Background QoS class and -sched picks the
+// drain policy arbitrating between the classes, with the per-class
+// latency/reject report appended to the run line.
+func replayParallel(rd *trace.Reader, spec directory.Spec, shards int, homeName string,
+	opts replay.Options, sched string) error {
 	if spec.Shard.Count == 0 {
 		if shards == 0 {
 			// At least 2 shards by default: a 1-shard directory makes the
 			// home function a no-op (pass -shards 1 to force it).
-			if shards = ceilPow2(workers); shards < 2 {
+			if shards = ceilPow2(runtime.GOMAXPROCS(0)); shards < 2 {
 				shards = 2
 			}
 		}
@@ -418,26 +404,19 @@ func replayParallel(rd *trace.Reader, spec directory.Spec, workers, shards, batc
 		}
 		spec.Shard.Home = home
 	}
+	if sched != "" {
+		policy, err := qos.ParsePolicy(sched)
+		if err != nil {
+			return fmt.Errorf("trace: -sched: %w", err)
+		}
+		opts.Engine.Sched = qos.Sched{Policy: policy}
+	}
 	// The directory tracks one cache per traced core.
 	d, err := directory.Build(spec.WithCaches(rd.Cores()))
 	if err != nil {
 		return fmt.Errorf("trace: -dir %s: %w", spec, err)
 	}
-	sd := d.(*directory.ShardedDirectory)
-	opts := replay.Options{Workers: workers, BatchSize: batch}
-	if useEngine {
-		opts.Via = replay.ViaEngine
-		opts.Engine = engine.Options{QueueDepth: queueDepth, Drainers: drainers}
-		opts.Background = background
-		if sched != "" {
-			policy, err := qos.ParsePolicy(sched)
-			if err != nil {
-				return fmt.Errorf("trace: -sched: %w", err)
-			}
-			opts.Engine.Sched = qos.Sched{Policy: policy}
-		}
-	}
-	res, err := replay.ReplayTrace(sd, rd, opts)
+	res, err := replay.ReplayTrace(d.(*directory.ShardedDirectory), rd, opts)
 	if err != nil {
 		return err
 	}
@@ -463,22 +442,22 @@ func usage() {
   cuckoodir bench [-json] [-out FILE] [-label L] [-run REGEXP]
                   [-against L [-maxregress X]]
                                   run the fixed performance-benchmark suite
-                                  (table find/insert/delete sweeps, sharded
-                                  replay); -json appends the labeled run to
+                                  (table find/insert/delete sweeps, the
+                                  ApplyShardOps layer, engine replay); -json appends the labeled run to
                                   the BENCH_cuckoo.json trajectory; -against
                                   compares the run to an existing trajectory
                                   label and exits nonzero when any shared case
                                   is more than -maxregress times slower
   cuckoodir trace record -file F [-workload W] [-n N] [-seed S]
   cuckoodir trace replay -file F [-config shared|private] [-workload W] [-dir ORG]
-  cuckoodir trace replay -file F -dir ORG [-workers N] [-shards N] [-batch N] [-home mix|interleave]
-                         [-engine [-queue N] [-drainers N] [-background F] [-sched strict|wdrr]]
+  cuckoodir trace replay -file F -dir ORG [-shards N] [-batch N] [-home mix|interleave]
+                         [-queue N] [-drainers N] [-background F] [-sched strict|wdrr]
                                   parallel batched replay through a sharded
-                                  directory (selected by -workers/-shards/-batch/-home/-engine
-                                  or a sharded -dir name like "sharded-8(cuckoo-4x1024)");
-                                  -engine submits through the asynchronous
-                                  DirectoryEngine instead of the direct
-                                  ApplyShard worker pool; -background F submits
+                                  directory and the asynchronous DirectoryEngine
+                                  (selected by any of these flags or a sharded
+                                  -dir name like "sharded-8(cuckoo-4x1024)");
+                                  -queue/-drainers size the engine;
+                                  -background F submits
                                   that fraction of batches as the Background QoS
                                   class and -sched picks the class drain policy,
                                   with per-class p50/p99/p999 and rejects

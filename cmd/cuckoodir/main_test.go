@@ -89,17 +89,17 @@ func TestCeilPow2(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTripCLI drives record + both replay paths through the
-// command surface.
+// TestTraceRoundTripCLI drives record + the sequential and parallel
+// replay paths through the command surface.
 func TestTraceRoundTripCLI(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "cli.trc")
 	if err := run([]string{"trace", "record", "-file", file, "-workload", "apache", "-n", "20000"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"trace", "replay", "-file", file, "-dir", "sharded-4(cuckoo-4x512)", "-workers", "2", "-batch", "128"}); err != nil {
+	if err := run([]string{"trace", "replay", "-file", file, "-dir", "sharded-4(cuckoo-4x512)", "-batch", "128"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-workers", "2", "-home", "interleave"}); err != nil {
+	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-home", "interleave"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512"}); err != nil {
@@ -108,16 +108,17 @@ func TestTraceRoundTripCLI(t *testing.T) {
 	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-home", "north"}); err == nil {
 		t.Error("bad -home accepted")
 	}
-	// The asynchronous engine path, with and without knobs.
-	if err := run([]string{"trace", "replay", "-file", file, "-dir", "sharded-4(cuckoo-4x512)", "-engine"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-engine",
+	// Engine knobs alone select the parallel path.
+	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512",
 		"-shards", "4", "-queue", "64", "-drainers", "2", "-batch", "128"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-queue", "64"}); err == nil {
-		t.Error("-queue without -engine accepted")
+	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512",
+		"-background", "0.5", "-sched", "wdrr"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-sched", "lottery"}); err == nil {
+		t.Error("bad -sched accepted")
 	}
 }
 

@@ -27,10 +27,9 @@
 //     swaps in a larger slice behind a live old/new union view and the
 //     engine's drainers migrate the entries incrementally — no entry
 //     lost, no stop-the-world (see DESIGN.md §11 and the "resize"
-//     experiment). The parallel replay pipeline
-//     (ReplayTraceParallel, `cuckoodir trace replay -workers N`, or
-//     `-engine` for the asynchronous path) measures both from recorded
-//     traces.
+//     experiment). The parallel replay pipeline (ReplayTraceParallel,
+//     or `cuckoodir trace replay -dir 'sharded-8(cuckoo-4x1024)'`)
+//     drives both from recorded traces.
 //   - The evaluation platform: a functional 16-core tiled-CMP simulator
 //     (NewSystem) with the paper's Shared-L2 and Private-L2
 //     configurations and Table 2's workload suite (Workloads), plus an
@@ -719,30 +718,20 @@ func ReplayTrace(r *TraceReader, sys *System) (uint64, error) {
 
 // ---- parallel replay pipeline ----
 
-// ReplayOptions parameterize the parallel replay pipeline (worker count,
-// batch size, submission path); the zero value is usable.
+// ReplayOptions parameterize the parallel replay pipeline (batch size,
+// engine options, background class mix); the zero value is usable.
 type ReplayOptions = replay.Options
 
 // ReplayResult reports a parallel replay run: throughput, per-shard
-// occupancy, dropped-record count and the merged directory statistics.
+// occupancy, dropped-record count, the merged directory statistics and
+// the engine's per-class latency.
 type ReplayResult = replay.Result
 
-// ReplayVia selects the replay pipeline's submission path.
-type ReplayVia = replay.Via
-
-// Replay submission paths.
-const (
-	// ReplayViaApplyShard is the direct worker-pool pipeline — the named
-	// baseline engine runs are compared against.
-	ReplayViaApplyShard = replay.ViaApplyShard
-	// ReplayViaEngine submits through an asynchronous Engine.
-	ReplayViaEngine = replay.ViaEngine
-)
-
 // ReplayTraceParallel replays a recorded trace through a sharded
-// directory with batched worker goroutines (ShardedDirectory.Apply) and
-// reports throughput — the scaled-up counterpart of ReplayTrace. See
-// internal/replay for ordering semantics.
+// directory, submitting batches to an asynchronous Engine whose
+// drainers apply them, and reports throughput — the scaled-up
+// counterpart of ReplayTrace. See internal/replay for ordering
+// semantics.
 func ReplayTraceParallel(dir *ShardedDirectory, r *TraceReader, o ReplayOptions) (ReplayResult, error) {
 	return replay.ReplayTrace(dir, r, o)
 }

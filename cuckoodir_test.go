@@ -8,7 +8,7 @@ import (
 )
 
 // TestPublicEngine drives the asynchronous submission engine through
-// the facade: tickets, batch submission, replay via the engine path,
+// the facade: tickets, batch submission, parallel replay,
 // flush, close, and the exported errors.
 func TestPublicEngine(t *testing.T) {
 	dir, err := BuildSharded(Spec{
@@ -60,14 +60,13 @@ func TestPublicEngine(t *testing.T) {
 		t.Fatalf("submit after close: %v", err)
 	}
 
-	// The replay pipeline's engine path through the facade.
-	res, err := ReplayWorkloadParallel(dir, Workloads()[0], 16, 1, 5000,
-		ReplayOptions{Via: ReplayViaEngine})
+	// The replay pipeline through the facade.
+	res, err := ReplayWorkloadParallel(dir, Workloads()[0], 16, 1, 5000, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Accesses != 5000 || res.Via != ReplayViaEngine {
-		t.Fatalf("engine replay result: %+v", res)
+	if res.Accesses != 5000 || res.Producers != 1 || res.Drainers == 0 {
+		t.Fatalf("replay result: %+v", res)
 	}
 	if res.Dropped != 0 {
 		t.Fatalf("clean replay dropped %d", res.Dropped)

@@ -7,8 +7,8 @@
 // paper's figures: a FIXED set of named benchmark cases (table
 // find/insert/delete at swept occupancies for each hash family,
 // including the pre-devirtualization interface-dispatch path as a
-// baseline, plus sharded replay at swept worker/shard counts and the
-// engine-vs-ApplyShard submission A/B at swept producer counts) whose
+// baseline, plus the sharded front-end's ApplyShardOps layer alone and
+// whole engine replay at swept producer counts) whose
 // results append to a stable, diffable JSON file, one labeled run per
 // PR. Future PRs extend the trajectory instead of re-measuring ad hoc.
 //
@@ -20,6 +20,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 	"runtime"
@@ -194,6 +195,7 @@ func tableDelete(fam string, occPct int) func(b *testing.B) {
 const (
 	replayAccesses = 200_000
 	replayCores    = 16
+	replayBatch    = 256
 )
 
 // benchDir builds the replay cases' sharded cuckoo directory.
@@ -209,37 +211,67 @@ func benchDir(b *testing.B, shards int) *directory.ShardedDirectory {
 	return d
 }
 
-func replayCase(shards, workers int) func(b *testing.B) {
+// applyShardOpsCase measures the sharded front-end layer alone: the
+// oracle stream the replay cases submit is generated and partitioned
+// into shard-affine windows of replayBatch accesses (in stream order,
+// by ShardOf) outside the timer, and the timed region is only the
+// ApplyShardOps calls over a fresh directory, on one goroutine. It is
+// the call the engine's drainers make, so replay/engine/* against this
+// row shows what submission, queueing and completion add.
+func applyShardOpsCase(shards int) func(b *testing.B) {
 	return func(b *testing.B) {
 		prof, err := workload.ByName("oracle")
 		if err != nil {
 			b.Fatal(err)
 		}
+		type window struct {
+			shard int
+			accs  []directory.Access
+		}
+		var windows []window
+		route := benchDir(b, shards)
+		pending := make([][]directory.Access, shards)
+		src := replay.Synthesize(prof, replayCores, 11, replayAccesses)
+		for {
+			rec, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			kind := directory.AccessRead
+			if rec.Access.Write {
+				kind = directory.AccessWrite
+			}
+			h := route.ShardOf(rec.Access.Addr)
+			pending[h] = append(pending[h], directory.Access{Kind: kind, Addr: rec.Access.Addr, Cache: rec.Core})
+			if len(pending[h]) == replayBatch {
+				windows = append(windows, window{h, pending[h]})
+				pending[h] = nil
+			}
+		}
+		for h, accs := range pending {
+			if len(accs) > 0 {
+				windows = append(windows, window{h, accs})
+			}
+		}
+		ops := make([]directory.Op, replayBatch)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			d := benchDir(b, shards)
 			b.StartTimer()
-			res, err := replay.ReplayWorkload(d, prof, replayCores, 11, replayAccesses,
-				replay.Options{Workers: workers, BatchSize: 256})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Accesses != replayAccesses {
-				b.Fatalf("replayed %d accesses", res.Accesses)
+			for _, w := range windows {
+				d.ApplyShardOps(w.shard, w.accs, ops[:len(w.accs)])
 			}
 		}
 		b.ReportMetric(float64(replayAccesses)*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
 	}
 }
 
-// engineReplayCase is the engine-vs-ApplyShard A/B counterpart of
-// replayCase: the same synthesized workload submitted through the
-// asynchronous DirectoryEngine. producers == 1 replays the identical
-// single-producer stream (compare against replay/shards=N/workers=1,
-// the direct baseline — the acceptance bar is within 20% of it);
-// producers > 1 splits the access budget over concurrent submitters,
-// the scaling shape the direct pipeline's serial producer cannot
-// express (visible on multi-core hosts; a 1-CPU box serializes it).
+// engineReplayCase replays the synthesized workload through the
+// asynchronous DirectoryEngine (internal/replay). producers == 1 is the
+// single-producer stream; producers > 1 splits the access budget over
+// concurrent submitters, the submission-side scaling shape (visible on
+// multi-core hosts; a 1-CPU box serializes it).
 func engineReplayCase(shards, producers int) func(b *testing.B) {
 	return func(b *testing.B) {
 		prof, err := workload.ByName("oracle")
@@ -251,17 +283,11 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 			b.StopTimer()
 			d := benchDir(b, shards)
 			b.StartTimer()
-			opts := replay.Options{BatchSize: 256, Via: replay.ViaEngine}
-			var res replay.Result
-			if producers == 1 {
-				res, err = replay.ReplayWorkload(d, prof, replayCores, 11, replayAccesses, opts)
-			} else {
-				srcs := make([]replay.Source, producers)
-				for p := range srcs {
-					srcs[p] = replay.Synthesize(prof, replayCores, 11+uint64(p), replayAccesses/producers)
-				}
-				res, err = replay.RunMulti(d, srcs, opts)
+			srcs := make([]replay.Source, producers)
+			for p := range srcs {
+				srcs[p] = replay.Synthesize(prof, replayCores, 11+uint64(p), replayAccesses/producers)
 			}
+			res, err := replay.RunMulti(d, srcs, replay.Options{BatchSize: replayBatch})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -282,7 +308,9 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 
 // Cases returns the fixed suite, in stable order. The set is part of
 // the trajectory contract: adding a case is fine (new rows appear in
-// later runs); renaming one breaks comparability, so don't.
+// later runs); renaming one breaks comparability, so don't. Retiring a
+// case whose code path is gone is allowed once a layer case measures
+// what it stood in for.
 func Cases() []Case {
 	var cases []Case
 	for _, op := range []string{"find", "insert", "delete"} {
@@ -298,14 +326,10 @@ func Cases() []Case {
 			}
 		}
 	}
-	for _, sw := range []struct{ shards, workers int }{
-		{1, 1}, {8, 1}, {8, 4}, {8, 8},
-	} {
-		cases = append(cases, Case{
-			Name:  fmt.Sprintf("replay/shards=%d/workers=%d", sw.shards, sw.workers),
-			Bench: replayCase(sw.shards, sw.workers),
-		})
-	}
+	cases = append(cases, Case{
+		Name:  "sharded/applyshardops/shards=8",
+		Bench: applyShardOpsCase(8),
+	})
 	for _, sw := range []struct{ shards, producers int }{
 		{8, 1}, {8, 4},
 	} {
@@ -321,7 +345,8 @@ func Cases() []Case {
 type Result struct {
 	NsPerOp   float64 `json:"ns_per_op"`
 	OpsPerSec float64 `json:"ops_per_sec"`
-	// AccPerSec is the replay pipeline throughput (replay cases only).
+	// AccPerSec is the access throughput (replay and sharded cases
+	// only).
 	AccPerSec float64 `json:"acc_per_sec,omitempty"`
 	// Notes flags rows whose numbers need a caveat to be interpretable —
 	// today, multi-worker/multi-producer cases recorded on a host that

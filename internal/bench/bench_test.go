@@ -32,8 +32,15 @@ func BenchmarkReplayPipeline(b *testing.B) {
 	benchGroup(b, "replay/")
 }
 
+func BenchmarkShardedApplyShardOps(b *testing.B) {
+	benchGroup(b, "sharded/applyshardops/")
+}
+
 // TestCasesFixed pins the suite's case names: the trajectory file is
-// only comparable across PRs if the set stays append-only.
+// only comparable across runs if the set stays append-only. A case is
+// retired only once its code path is gone and a layer case measures
+// what it stood in for; its old trajectory rows still load, and
+// Regressions skips them.
 func TestCasesFixed(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range Cases() {
@@ -51,7 +58,7 @@ func TestCasesFixed(t *testing.T) {
 		"table/insert/skew/occ=70",
 		"table/insert/iface/occ=70",
 		"table/delete/strong/occ=50",
-		"replay/shards=8/workers=4",
+		"sharded/applyshardops/shards=8",
 		"replay/engine/shards=8/producers=1",
 		"replay/engine/shards=8/producers=4",
 	} {

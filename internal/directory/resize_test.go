@@ -302,7 +302,7 @@ func resizeProducer(d *ShardedDirectory, p int, lo, hi uint64) map[uint64]uint64
 	return truth
 }
 
-// TestResizeCensusUnderApplyShard is the ViaApplyShard invariant test:
+// TestResizeCensusUnderApplyShard is the direct-ApplyShard census test:
 // concurrent producers churn disjoint ranges through ApplyShard while
 // shard 0 resizes live (a dedicated migrator goroutine steps it, as the
 // engine's drainer would); afterwards the census must match the merged

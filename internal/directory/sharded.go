@@ -340,10 +340,9 @@ func (s *ShardedDirectory) ShardCount() int { return len(s.shards) }
 func (s *ShardedDirectory) Home() Home { return s.homeKind }
 
 // ShardOf returns the shard index addr homes onto. Batching front-ends
-// (internal/replay) use it to partition work shard-affinely: a batch
-// whose accesses all share one home shard takes Apply's inline
-// single-lock fast path, so parallelism can come from concurrent
-// callers instead of Apply's internal fan-out.
+// (the engine's submission router) use it to partition work
+// shard-affinely, so each shard's accesses drain through ApplyShardOps
+// under one lock acquisition while other shards proceed independently.
 //
 //cuckoo:hotpath
 func (s *ShardedDirectory) ShardOf(addr uint64) int { return s.home(addr) }
@@ -499,7 +498,7 @@ func (s *ShardedDirectory) Apply(accesses []Access) []Op {
 
 // ApplyShard executes a batch whose accesses ALL home onto shard h —
 // the zero-overhead variant of Apply for shard-affine batching
-// front-ends (internal/replay): one lock acquisition, no grouping pass,
+// front-ends: one lock acquisition, no grouping pass,
 // and no Op recording (callers that need the Ops use Apply or
 // ApplyShardOps). Like Apply, the whole batch is validated up front on
 // the caller's stack — unknown kinds, out-of-range caches and accesses

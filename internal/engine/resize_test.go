@@ -1,5 +1,4 @@
-// Online-resize tests at the engine layer: the ViaEngine census
-// invariant (no entry lost or duplicated across a live per-shard
+// Online-resize tests at the engine layer: the census invariant (no entry lost or duplicated across a live per-shard
 // rehash under concurrent multi-producer traffic), automatic growth
 // driven by the drainers, and the lifecycle guarantees — Flush
 // barriers and Close issued mid-migration quiesce deterministically.
@@ -99,7 +98,7 @@ func checkEngineCensus(t *testing.T, d *directory.ShardedDirectory, want map[uin
 	}
 }
 
-// TestResizeCensusUnderEngine is the ViaEngine invariant test: four
+// TestResizeCensusUnderEngine is the engine-layer census test: four
 // producers churn disjoint ranges through detached submissions while
 // shard 0 is resized live through the engine; the drainers execute the
 // migration between request runs. Afterwards the census must match the

@@ -184,28 +184,28 @@ func TestLatencyQuick(t *testing.T) {
 }
 
 // TestReplayQuick: the replay-throughput sweep produces one row per
-// configuration with live throughput in every row, covers both
-// submission paths and both home functions, and honors the Orgs
-// override (sharded names are skipped with a note, not double-wrapped).
+// configuration with live throughput in every row, covers both home
+// functions and both producer counts, and honors the Orgs override
+// (sharded names are skipped with a note, not double-wrapped).
 func TestReplayQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput experiment")
 	}
 	ts := runExp(t, "replay")
 	tb := ts[0]
-	if tb.NumRows() != 7 {
-		t.Fatalf("replay rows = %d, want 7", tb.NumRows())
+	if tb.NumRows() != 4 {
+		t.Fatalf("replay rows = %d, want 4", tb.NumRows())
 	}
-	paths, homes := map[string]bool{}, map[string]bool{}
+	prods, homes := map[string]bool{}, map[string]bool{}
 	for r := 0; r < tb.NumRows(); r++ {
-		paths[tb.Cell(r, 3)] = true
+		prods[tb.Cell(r, 3)] = true
 		homes[tb.Cell(r, 2)] = true
-		if v := parseFloat(t, tb.Cell(r, 6)); v <= 0 {
+		if v := parseFloat(t, tb.Cell(r, 5)); v <= 0 {
 			t.Errorf("row %d: throughput %v kacc/s", r, v)
 		}
 	}
-	if !paths["applyshard"] || !paths["engine"] {
-		t.Errorf("paths covered: %v, want both applyshard and engine", paths)
+	if !prods["1"] || !prods["4"] {
+		t.Errorf("producer counts covered: %v, want both 1 and 4", prods)
 	}
 	if !homes["mix"] || !homes["interleave"] {
 		t.Errorf("homes covered: %v, want both mix and interleave", homes)
@@ -217,8 +217,8 @@ func TestReplayQuick(t *testing.T) {
 	}
 	ts = e.Run(Options{Scale: Quick, Orgs: []string{"cuckoo-4x512", "sharded-2(cuckoo-4x512)"}})
 	tb = ts[0]
-	if tb.NumRows() != 7 {
-		t.Fatalf("override rows = %d, want 7 (one eligible org)", tb.NumRows())
+	if tb.NumRows() != 4 {
+		t.Fatalf("override rows = %d, want 4 (one eligible org)", tb.NumRows())
 	}
 	for r := 0; r < tb.NumRows(); r++ {
 		if tb.Cell(r, 0) != "cuckoo-4x512" {

@@ -175,7 +175,14 @@ func TestDisarmReleasesStalls(t *testing.T) {
 			in.Hit(DrainerStall, k, stop)
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond)
+	// Disarm only once all three are parked on the gate, so the release
+	// itself is what the test exercises.
+	for deadline := time.Now().Add(5 * time.Second); in.Fired(DrainerStall) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 3 goroutines stalled", in.Fired(DrainerStall))
+		}
+		time.Sleep(time.Millisecond)
+	}
 	in.Disarm(DrainerStall)
 	donec := make(chan struct{})
 	go func() { wg.Wait(); close(donec) }()

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -10,69 +11,64 @@ import (
 	"cuckoodir/internal/qos"
 )
 
-// TestEngineModeMatchesDirect: the engine path applies exactly the same
-// stream the direct ApplyShard pipeline applies — identical access
-// counts, identical lock-free counters and identical final directory
-// contents. The baseline runs ONE worker because that is the direct
-// pipeline's order-preserving configuration: the engine guarantees
-// per-shard FIFO regardless of drainer count, while the direct pipeline
-// with several workers may reorder same-shard batches (a documented
-// caveat), which perturbs cuckoo displacement chains.
+// TestEngineModeMatchesDirect: a single-producer replay leaves the
+// directory exactly as applying the stream one access at a time, in
+// stream order, through ApplyShard does — identical lock-free counters,
+// block count and per-address sharers. The engine is per-shard FIFO, so
+// this holds for every drainer count.
 func TestEngineModeMatchesDirect(t *testing.T) {
 	const n = 20_000
-	direct := testDir(t, 8)
-	dres, err := Run(direct, Synthesize(testProfile(t), testCores, 3, n), Options{Workers: 1, BatchSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := testDir(t, 8)
-	eres, err := Run(eng, Synthesize(testProfile(t), testCores, 3, n),
-		Options{BatchSize: 128, Via: ViaEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eres.Via != ViaEngine || eres.Producers != 1 {
-		t.Fatalf("engine result mislabeled: via=%s producers=%d", eres.Via, eres.Producers)
-	}
-	if !strings.Contains(eres.String(), "via engine") {
-		t.Fatalf("String() hides the path: %q", eres.String())
-	}
-	if dres.Accesses != n || eres.Accesses != n {
-		t.Fatalf("accesses: direct %d, engine %d, want %d", dres.Accesses, eres.Accesses, n)
-	}
-	if dc, ec := direct.Counters(), eng.Counters(); dc != ec {
-		t.Fatalf("counters diverge:\ndirect %+v\nengine %+v", dc, ec)
-	}
-	if direct.Len() != eng.Len() {
-		t.Fatalf("tracked blocks: direct %d, engine %d", direct.Len(), eng.Len())
-	}
-	want := map[uint64]uint64{}
-	direct.ForEach(func(addr, sharers uint64) bool { want[addr] = sharers; return true })
-	eng.ForEach(func(addr, sharers uint64) bool {
-		if want[addr] != sharers {
-			t.Fatalf("addr %#x: engine sharers %#x != direct %#x", addr, sharers, want[addr])
+	ref := testDir(t, 8)
+	src := Synthesize(testProfile(t), testCores, 3, n)
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
 		}
-		return true
-	})
+		a, err := recordAccess(rec, testCores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.ApplyShard(ref.ShardOf(a.Addr), []directory.Access{a})
+	}
+	for _, drainers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("drainers=%d", drainers), func(t *testing.T) {
+			d := testDir(t, 8)
+			res, err := Run(d, Synthesize(testProfile(t), testCores, 3, n),
+				Options{BatchSize: 128, Engine: engine.Options{Drainers: drainers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkConserved(t, d, res, n)
+			if res.Producers != 1 || res.Drainers != drainers {
+				t.Fatalf("result mislabeled: producers=%d drainers=%d", res.Producers, res.Drainers)
+			}
+			assertSameDirectory(t, d, ref)
+		})
+	}
 }
 
-// TestEngineModeSourceError: the engine path reports dropped records on
-// a source error just like the direct path.
+// TestEngineModeSourceError: a source error drops exactly the pending
+// partial batch and reports it, whatever the engine's drainer count.
 func TestEngineModeSourceError(t *testing.T) {
-	res, err := Run(testDir(t, 2), &errSource{n: 700}, Options{BatchSize: 256, Via: ViaEngine})
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("error = %v", err)
-	}
-	if res.Accesses+res.Dropped != 700 || res.Dropped == 0 {
-		t.Fatalf("applied %d + dropped %d != 700 records read", res.Accesses, res.Dropped)
-	}
-	if !strings.Contains(res.String(), "DROPPED") {
-		t.Fatalf("String() hides the drop: %q", res.String())
+	for _, drainers := range []int{1, 4} {
+		d := testDir(t, 2)
+		res, err := Run(d, &errSource{n: 700}, Options{BatchSize: 256, Engine: engine.Options{Drainers: drainers}})
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("drainers=%d: error = %v", drainers, err)
+		}
+		checkConserved(t, d, res, 700)
+		if res.Accesses != 512 || res.Dropped != 700-512 {
+			t.Fatalf("drainers=%d: applied %d, dropped %d; want 512 and 188", drainers, res.Accesses, res.Dropped)
+		}
+		if !strings.Contains(res.String(), "DROPPED") {
+			t.Fatalf("drainers=%d: String() hides the drop: %q", drainers, res.String())
+		}
 	}
 }
 
-// TestEngineModeBadCore: out-of-range record cores fail cleanly on the
-// engine path too.
+// TestEngineModeBadCore: out-of-range record cores fail cleanly with
+// explicit engine knobs too, and nothing is applied.
 func TestEngineModeBadCore(t *testing.T) {
 	small, err := directory.BuildSharded(directory.Spec{
 		Org: directory.OrgCuckoo, NumCaches: 4,
@@ -81,26 +77,31 @@ func TestEngineModeBadCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(small, Synthesize(testProfile(t), testCores, 0, 100),
-		Options{Via: ViaEngine}); err == nil {
+	src := &countingSource{src: Synthesize(testProfile(t), testCores, 0, 100)}
+	res, err := Run(small, src, Options{Engine: engine.Options{Drainers: 2, QueueDepth: 4}})
+	if err == nil {
 		t.Fatal("core 4+ accepted by a 4-cache directory")
+	}
+	checkConserved(t, small, res, src.read)
+	if res.Accesses != 0 || res.Dropped == 0 {
+		t.Fatalf("bad-core run applied %d, dropped %d", res.Accesses, res.Dropped)
 	}
 }
 
 // TestEngineModeKnobs: engine options flow through, and the effective
-// drainer count is echoed in Workers.
+// drainer count is echoed in Drainers.
 func TestEngineModeKnobs(t *testing.T) {
 	d := testDir(t, 8)
 	res, err := Run(d, Synthesize(testProfile(t), testCores, 1, 2000), Options{
 		BatchSize: 64,
-		Via:       ViaEngine,
 		Engine:    engine.Options{Drainers: 2, QueueDepth: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workers != 2 {
-		t.Fatalf("Workers = %d, want the 2 drainers", res.Workers)
+	checkConserved(t, d, res, 2000)
+	if res.Drainers != 2 {
+		t.Fatalf("Drainers = %d, want 2", res.Drainers)
 	}
 	if res.Accesses != 2000 {
 		t.Fatalf("applied %d", res.Accesses)
@@ -108,8 +109,7 @@ func TestEngineModeKnobs(t *testing.T) {
 }
 
 // TestRunMulti: concurrent producers over one engine apply every
-// source's records exactly once; the direct pipeline rejects the
-// multi-producer form.
+// source's records exactly once.
 func TestRunMulti(t *testing.T) {
 	const producers, per = 4, 5000
 	d := testDir(t, 8)
@@ -117,23 +117,18 @@ func TestRunMulti(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = Synthesize(testProfile(t), testCores, uint64(10+i), per)
 	}
-	res, err := RunMulti(d, srcs, Options{BatchSize: 128, Via: ViaEngine})
+	res, err := RunMulti(d, srcs, Options{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, d, res, producers*per)
 	if res.Accesses != producers*per {
 		t.Fatalf("applied %d, want %d", res.Accesses, producers*per)
 	}
 	if res.Producers != producers {
 		t.Fatalf("Producers = %d", res.Producers)
 	}
-	if got := d.Counters().Ops(); got != producers*per {
-		t.Fatalf("counters saw %d ops", got)
-	}
-	if _, err := RunMulti(d, srcs, Options{}); err == nil {
-		t.Fatal("RunMulti accepted the single-producer ApplyShard path")
-	}
-	if _, err := RunMulti(d, nil, Options{Via: ViaEngine}); err == nil {
+	if _, err := RunMulti(d, nil, Options{}); err == nil {
 		t.Fatal("RunMulti accepted zero sources")
 	}
 }
@@ -146,13 +141,11 @@ func TestRunMultiSourceError(t *testing.T) {
 		Synthesize(testProfile(t), testCores, 1, 4000),
 		&errSource{n: 300},
 	}
-	res, err := RunMulti(d, srcs, Options{BatchSize: 256, Via: ViaEngine})
+	res, err := RunMulti(d, srcs, Options{BatchSize: 256})
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("error = %v", err)
 	}
-	if res.Accesses+res.Dropped != 4000+300 {
-		t.Fatalf("applied %d + dropped %d != %d records read", res.Accesses, res.Dropped, 4300)
-	}
+	checkConserved(t, d, res, 4000+300)
 	if res.Dropped == 0 {
 		t.Fatal("the 300-record source must drop its partial batch")
 	}
@@ -167,12 +160,12 @@ func TestBackgroundMix(t *testing.T) {
 	d := testDir(t, 8)
 	res, err := Run(d, Synthesize(testProfile(t), testCores, 5, n), Options{
 		BatchSize:  100,
-		Via:        ViaEngine,
 		Background: 0.25,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, d, res, n)
 	if res.Accesses != n {
 		t.Fatalf("applied %d, want %d", res.Accesses, n)
 	}
@@ -198,35 +191,28 @@ func TestBackgroundMix(t *testing.T) {
 	}
 }
 
-// TestBackgroundValidation: the class mix is an engine-path feature and
-// a fraction — the direct path and out-of-range values are rejected.
+// TestBackgroundValidation: the class mix is a fraction — out-of-range
+// values are rejected before anything is applied.
 func TestBackgroundValidation(t *testing.T) {
-	d := testDir(t, 2)
 	src := func() Source { return Synthesize(testProfile(t), testCores, 1, 100) }
-	if _, err := Run(d, src(), Options{Background: 0.5}); err == nil {
-		t.Fatal("Background accepted on the direct path")
-	}
 	for _, bad := range []float64{-0.1, 1.5} {
-		if _, err := Run(d, src(), Options{Via: ViaEngine, Background: bad}); err == nil {
+		d := testDir(t, 2)
+		if _, err := Run(d, src(), Options{Background: bad}); err == nil {
 			t.Fatalf("Background=%v accepted", bad)
+		}
+		if ops := d.Counters().Ops(); ops != 0 {
+			t.Fatalf("rejected Background=%v still applied %d ops", bad, ops)
 		}
 	}
 	// Background=1 is a valid degenerate mix: everything Background.
-	res, err := Run(d, src(), Options{Via: ViaEngine, Background: 1})
+	d := testDir(t, 2)
+	res, err := Run(d, src(), Options{Background: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, d, res, 100)
 	if res.Classes[qos.Background].SubmittedAccesses != 100 {
 		t.Fatalf("all-background run submitted %d bg accesses, want 100",
 			res.Classes[qos.Background].SubmittedAccesses)
-	}
-}
-
-func TestViaString(t *testing.T) {
-	if ViaApplyShard.String() != "applyshard" || ViaEngine.String() != "engine" {
-		t.Fatal("Via names wrong")
-	}
-	if !strings.Contains(Via(9).String(), "9") {
-		t.Fatal("unknown Via not reported")
 	}
 }

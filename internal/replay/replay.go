@@ -1,46 +1,39 @@
 // Package replay is the parallel, batched trace-replay pipeline: it
 // drives a concurrency-safe ShardedDirectory with a recorded (or
-// synthesized) access stream through the batched Apply path and reports
-// throughput, per-shard occupancy and the merged directory statistics.
+// synthesized) access stream through an asynchronous DirectoryEngine
+// (internal/engine) and reports throughput, per-shard occupancy, the
+// merged directory statistics and the engine's per-class latency.
 //
 // The paper's methodology replays identical access streams against every
 // directory organization; internal/trace does that one record at a time
 // through the functional simulator. This package is the scaled-up
-// counterpart: records are partitioned into fixed-size batches and N
-// worker goroutines apply them concurrently, so the sharded front-end —
-// not the generator — is the measured bottleneck. It is how "Trace-driven
-// sharded replay" throughput numbers (accesses/sec across shard counts,
-// worker counts and home functions) are produced; see DESIGN.md §6.
+// counterpart, shaped like the paper's home slices (§4.2): producers
+// pack records into fixed-size batches and submit them detached, the
+// engine queues each access at its home shard, and one drainer per
+// queue applies it in batches under one lock acquisition, so the sharded
+// front-end — not the generator — is the measured bottleneck. It is how
+// "Trace-driven sharded replay" throughput numbers (accesses/sec across
+// shard counts, producer counts and home functions) are produced; see
+// DESIGN.md §6. A directory with a ^grow policy resizes online during
+// the run: the drainers trigger and execute the migrations.
 //
 // Semantics versus the simulator path: replay feeds EVERY record to the
 // directory as a fill (no private-cache hit filtering, no evictions), so
 // it measures directory-side throughput under the full access stream —
-// the worst case a directory front-end can see. Batches are shard-affine
-// (see Run) and handed to workers in fill order; with one worker,
-// per-block operation order is exactly the stream order, while with
-// several workers two batches of the same shard may be applied out of
-// order, so aggregate statistics (occupancy, attempt histogram,
-// invalidation counts) are meaningful but per-access Op sequences are
-// not. Use trace.Replay when bit-identical simulator state matters.
-//
-// Two submission paths share the Result shape for A/B comparison:
-//
-//   - ViaApplyShard (the default, and the named baseline): the original
-//     pipeline above — the producer packs shard-affine batches and a
-//     worker pool drives ApplyShard directly.
-//   - ViaEngine: the producer is a thin client of the asynchronous
-//     DirectoryEngine (internal/engine) — it packs plain fixed-size
-//     batches and fire-and-forget submits them; routing, queueing and
-//     shard-affine draining all happen inside the engine. RunMulti adds
-//     concurrent producers on this path, which the baseline pipeline
-//     cannot express (its producer is the serial stage).
+// the worst case a directory front-end can see. The engine is per-shard
+// FIFO, so with a single producer (Run) every shard applies its accesses
+// in stream order, and the final directory state is identical to
+// applying the stream one access at a time, whatever the drainer count.
+// RunMulti's producers interleave at batch granularity, so its aggregate
+// statistics (occupancy, attempt histogram, invalidation counts) are
+// meaningful but per-access Op sequences are not. Use trace.Replay when
+// bit-identical simulator state matters.
 package replay
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -96,82 +89,41 @@ func (s *synthSource) Next() (trace.Record, error) {
 	return trace.Record{Core: c, Access: s.gens[c].Next()}, nil
 }
 
-// Via selects the submission path a replay run drives.
-type Via uint8
-
-// Submission paths.
-const (
-	// ViaApplyShard (the default) is the direct pipeline: shard-affine
-	// batches applied by a worker pool through ApplyShard — the named
-	// baseline engine runs are compared against.
-	ViaApplyShard Via = iota
-	// ViaEngine submits plain batches to an asynchronous
-	// DirectoryEngine and lets its drainers do the shard-affine work.
-	ViaEngine
-)
-
-// String names the path ("applyshard", "engine").
-func (v Via) String() string {
-	switch v {
-	case ViaApplyShard:
-		return "applyshard"
-	case ViaEngine:
-		return "engine"
-	default:
-		return fmt.Sprintf("Via(%d)", uint8(v))
-	}
-}
-
 // Options parameterize a replay run. The zero value is usable.
 type Options struct {
-	// Workers is the number of goroutines applying batches on the
-	// ViaApplyShard path (default GOMAXPROCS). The engine path sizes its
-	// drainer pool from Engine instead.
-	Workers int
-	// BatchSize is the number of records per batch (default 256) on
-	// both paths.
+	// BatchSize is the number of records per submitted batch (default
+	// 256).
 	BatchSize int
-	// Via selects the submission path.
-	Via Via
-	// Engine configures the ViaEngine path (drainers, queue depth,
-	// backpressure, QoS schedule); the zero value takes the engine's
-	// defaults.
+	// Engine configures the DirectoryEngine the records flow through
+	// (drainers, queue depth, backpressure, QoS schedule, faults); the
+	// zero value takes the engine's defaults.
 	Engine engine.Options
 	// Background is the fraction (0..1) of batches submitted as
-	// qos.Background on the engine path — the class-mix knob for driving
-	// a foreground/background workload through the engine's QoS
+	// qos.Background — the class-mix knob for driving a
+	// foreground/background workload through the engine's QoS
 	// scheduler. Batches alternate classes deterministically (a debt
 	// accumulator, not a coin flip), so a run's class mix is exact and
-	// reproducible. 0 (the default) submits everything Foreground; the
-	// direct path rejects a non-zero value (ApplyShard has no queues to
-	// schedule).
+	// reproducible. 0 (the default) submits everything Foreground.
 	Background float64
 }
 
 // DefaultBatchSize is the records-per-batch default: large enough that
-// per-batch overhead (channel hop, shard grouping) amortizes, small
-// enough that batches from different workers overlap across shards.
+// per-submission overhead (routing, queue hop) amortizes, small
+// enough that the engine's drainers see batches from several shards in
+// flight at once.
 const DefaultBatchSize = 256
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
 	}
 	return o
 }
 
-// validateBackground rejects an out-of-range class mix, or any mix at
-// all on the direct path (ApplyShard has no queues for a scheduler to
-// arbitrate).
+// validateBackground rejects an out-of-range class mix.
 func (o Options) validateBackground() error {
 	if o.Background < 0 || o.Background > 1 {
 		return fmt.Errorf("replay: Background fraction %v out of range [0, 1]", o.Background)
-	}
-	if o.Background > 0 && o.Via != ViaEngine {
-		return fmt.Errorf("replay: Background class mix requires Options.Via == ViaEngine (the %s path has no QoS queues)", ViaApplyShard)
 	}
 	return nil
 }
@@ -179,24 +131,25 @@ func (o Options) validateBackground() error {
 // Result reports one replay run.
 type Result struct {
 	// Accesses is the number of records applied; Batches the number of
-	// ApplyShard calls (or engine submissions) they were partitioned
-	// into.
+	// engine submissions they were packed into.
 	Accesses uint64
 	Batches  uint64
-	// Dropped counts records the pipeline had read but never applied
-	// because a source error stopped production mid-batch. It is zero on
-	// a clean run; when non-zero the accompanying error says why.
+	// Dropped counts records a producer read but never applied: the
+	// partial batch pending when a source or record error stopped it,
+	// the record that failed conversion, and any batch the engine
+	// refused (a refusal is all-or-nothing, so the count is exact).
+	// Accesses + Dropped is always the number of records read. It is
+	// zero on a clean run; when non-zero the accompanying error says
+	// why.
 	Dropped uint64
 	// Elapsed is the wall time of the pipeline (reading, batching and
 	// applying overlap; this is end-to-end).
 	Elapsed time.Duration
-	// Via is the submission path the run used; Producers the number of
-	// producing goroutines (1 except for RunMulti).
-	Via       Via
+	// Producers is the number of producing goroutines (one per source);
+	// Drainers and BatchSize echo the engine's effective drainer count
+	// and the effective batch size.
 	Producers int
-	// Workers and BatchSize echo the effective options (Workers is the
-	// drainer count on the engine path).
-	Workers   int
+	Drainers  int
 	BatchSize int
 	// Stats is the merged directory statistics snapshot after the run.
 	Stats *directory.Stats
@@ -213,25 +166,24 @@ type Result struct {
 	// drainers trigger and execute the migrations) or the caller resized
 	// shards explicitly while the run was in flight.
 	Resizes directory.ResizeStats
-	// Engine-path fault-containment fields (always zero on the direct
-	// path): Shed counts submissions refused because their deadline had
-	// already expired, Erred counts accesses whose run completed with a
-	// contained-fault error instead of applying, and GrowFailures counts
-	// automatic-grow attempts the directory rejected — GrowError carries
-	// the most recent cause so a silent capacity plateau is explainable
-	// from the run report alone.
+	// Fault-containment fields: Shed counts submissions refused because
+	// their deadline had already expired, Erred counts accesses whose run
+	// completed with a contained-fault error instead of applying, and
+	// GrowFailures counts automatic-grow attempts the directory rejected
+	// — GrowError carries the most recent cause so a silent capacity
+	// plateau is explainable from the run report alone.
 	Shed         uint64
 	Erred        uint64
 	GrowFailures uint64
 	GrowError    string
-	// Classes holds one per-class QoS report per priority class on the
-	// engine path (all-zero on the direct path): what each class
+	// Classes holds one per-class QoS report per priority class: what
+	// each class
 	// submitted and completed, what the engine refused, and the
 	// enqueue-to-completion percentiles its drainers recorded.
 	Classes [qos.NumClasses]ClassReport
 }
 
-// ClassReport is one priority class's row in an engine-path Result.
+// ClassReport is one priority class's row in a Result.
 type ClassReport struct {
 	// Class identifies the row.
 	Class qos.Class
@@ -299,13 +251,9 @@ func (r Result) ShardImbalance() float64 {
 
 // String renders the one-line report the CLI prints.
 func (r Result) String() string {
-	mode := ""
-	if r.Via == ViaEngine {
-		mode = fmt.Sprintf(" via engine (%d producers)", r.Producers)
-	}
 	s := fmt.Sprintf(
-		"%d accesses in %.2fs (%.0f acc/s, %d workers, batch %d)%s: %.2f avg insertion attempts, %d forced invalidations, occupancy %.1f%%, shard imbalance %.2fx",
-		r.Accesses, r.Elapsed.Seconds(), r.Throughput(), r.Workers, r.BatchSize, mode,
+		"%d accesses in %.2fs (%.0f acc/s, %d producers, %d drainers, batch %d): %.2f avg insertion attempts, %d forced invalidations, occupancy %.1f%%, shard imbalance %.2fx",
+		r.Accesses, r.Elapsed.Seconds(), r.Throughput(), r.Producers, r.Drainers, r.BatchSize,
 		r.Stats.Attempts.Mean(), r.Stats.ForcedEvictions, r.Occupancy()*100, r.ShardImbalance())
 	if r.Resizes.Started > 0 {
 		s += fmt.Sprintf("; %d/%d online resizes completed (%d entries migrated)",
@@ -317,9 +265,9 @@ func (r Result) String() string {
 	if r.Shed > 0 || r.Erred > 0 {
 		s += fmt.Sprintf("; %d submissions shed, %d accesses erred", r.Shed, r.Erred)
 	}
-	// Per-class QoS rows (engine path): latency percentiles per class,
-	// plus what the class-aware backpressure refused. A class that saw no
-	// traffic prints nothing.
+	// Per-class QoS rows: latency percentiles per class, plus what the
+	// class-aware backpressure refused. A class that saw no traffic
+	// prints nothing.
 	for _, c := range r.Classes {
 		if c.Samples == 0 && c.SubmittedAccesses == 0 && c.Rejected == 0 && c.Shed == 0 {
 			continue
@@ -334,147 +282,82 @@ func (r Result) String() string {
 		s += ")"
 	}
 	if r.Dropped > 0 {
-		s += fmt.Sprintf("; %d records read but DROPPED un-applied (source error)", r.Dropped)
+		s += fmt.Sprintf("; %d records read but DROPPED un-applied", r.Dropped)
 	}
 	return s
 }
 
-// Run drives the pipeline: records from src are packed into fixed-size,
-// shard-affine batches on the caller's goroutine and applied by
-// Options.Workers goroutines through the directory's batched apply
-// path. Reads become AccessRead, writes AccessWrite; record cores index
-// tracked caches directly, so every core must be < dir.NumCaches().
-//
-// Batches are shard-affine — the producer routes each record to its home
-// shard's pending batch (ShardOf) and emits a batch when it fills — so
-// workers apply each batch through ApplyShard: one lock acquisition, no
-// grouping pass, no discarded Op slice, and the worker pool, not Apply's
-// internal fan-out, supplies the parallelism. This is the directory-side
-// batching DLS-style designs argue for: accesses to one home slice drain
-// under one lock acquisition while other slices proceed independently.
-//
-// On a source or record error the pipeline stops producing, drains
-// in-flight batches, and returns the error together with the partial
-// Result; records read but not yet applied (the pending partial
-// batches) are counted in Result.Dropped rather than silently lost.
-//
-// With Options.Via == ViaEngine the same contract holds, but the
-// records flow through an asynchronous DirectoryEngine: see runEngine.
+// Run replays one source: it is RunMulti with a single producer, so
+// every shard's accesses apply in stream order.
 func Run(dir *directory.ShardedDirectory, src Source, o Options) (Result, error) {
+	return RunMulti(dir, []Source{src}, o)
+}
+
+// RunMulti drives the pipeline: every source gets its own producing
+// goroutine, a thin client of one DirectoryEngine over dir that packs
+// its records into fixed-size batches and submits them detached. The
+// engine routes each access to its home shard's queue and the drainers
+// apply each shard's queue in FIFO order, so one producer's accesses to
+// a shard apply in its stream order; several producers interleave at
+// batch granularity. Reads become AccessRead, writes AccessWrite;
+// record cores index tracked caches directly, so every core must be <
+// dir.NumCaches().
+//
+// Close drains the engine before the clock stops, so Throughput covers
+// completion, not just submission. Producers run their sources to
+// completion; a source error, a bad record or a refused submission stops
+// that producer, and the first such error (else the engine's Close
+// error) is returned with the combined Result. Records read but not
+// applied are counted in Result.Dropped rather than silently lost.
+func RunMulti(dir *directory.ShardedDirectory, srcs []Source, o Options) (Result, error) {
 	o = o.withDefaults()
 	if err := o.validateBackground(); err != nil {
 		return Result{}, err
 	}
-	if o.Via == ViaEngine {
-		return runEngine(dir, src, o)
+	if len(srcs) == 0 {
+		return Result{}, fmt.Errorf("replay: RunMulti needs at least one source")
 	}
-	res := Result{Workers: o.Workers, BatchSize: o.BatchSize, Producers: 1}
-
-	type shardBatch struct {
-		shard    int
-		accesses []directory.Access
-	}
-	batches := make(chan shardBatch, 2*o.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < o.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range batches {
-				dir.ApplyShard(b.shard, b.accesses)
-			}
-		}()
-	}
-
-	numCaches := dir.NumCaches()
-	start := time.Now()
-	var err error
-	pending := make([][]directory.Access, dir.ShardCount())
-	for {
-		rec, rerr := src.Next()
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		acc, aerr := recordAccess(rec, numCaches)
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		h := dir.ShardOf(acc.Addr)
-		if pending[h] == nil {
-			pending[h] = make([]directory.Access, 0, o.BatchSize)
-		}
-		pending[h] = append(pending[h], acc)
-		if len(pending[h]) == o.BatchSize {
-			res.Accesses += uint64(o.BatchSize)
-			res.Batches++
-			batches <- shardBatch{shard: h, accesses: pending[h]}
-			pending[h] = nil
-		}
-	}
-	if err == nil {
-		for h, b := range pending {
-			if len(b) > 0 {
-				res.Accesses += uint64(len(b))
-				res.Batches++
-				batches <- shardBatch{shard: h, accesses: b}
-				pending[h] = nil
-			}
-		}
-	} else {
-		// A source error stops production with partial batches pending:
-		// those records were read but will never be applied — report
-		// them instead of losing them invisibly.
-		for _, b := range pending {
-			res.Dropped += uint64(len(b))
-		}
-	}
-	close(batches)
-	wg.Wait()
-
-	res.Elapsed = time.Since(start)
-	finishResult(dir, &res)
-	return res, err
-}
-
-// finishResult snapshots the directory-side fields of a Result.
-func finishResult(dir *directory.ShardedDirectory, res *Result) {
-	res.Counters = dir.Counters()
-	res.Stats = dir.Stats()
-	res.ShardLens = dir.ShardLens()
-	res.Capacity = dir.Capacity()
-	res.Resizes = dir.ResizeStats()
-}
-
-// runEngine is the ViaEngine body of Run: the producer is a thin engine
-// client — it packs plain fixed-size batches (no shard routing, no
-// worker pool) and fire-and-forget submits them; the engine's drainers
-// do the shard-affine batched applying. Close drains everything before
-// the clock stops, so Throughput covers completion, not just
-// submission.
-func runEngine(dir *directory.ShardedDirectory, src Source, o Options) (Result, error) {
 	eng, err := engine.New(dir, o.Engine)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
-		Via:       ViaEngine,
-		Producers: 1,
-		Workers:   eng.Options().Drainers,
+		Producers: len(srcs),
+		Drainers:  eng.Options().Drainers,
 		BatchSize: o.BatchSize,
 	}
+	numCaches := dir.NumCaches()
+	subResults := make([]Result, len(srcs))
+	errs := make([]error, len(srcs))
 	start := time.Now()
-	err = produce(eng, src, dir.NumCaches(), o.BatchSize, o.Background, &res)
-	if cerr := eng.Close(); err == nil {
-		err = cerr
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func(i int, src Source) {
+			defer wg.Done()
+			errs[i] = produce(eng, src, numCaches, o.BatchSize, o.Background, &subResults[i])
+		}(i, src)
+	}
+	wg.Wait()
+	closeErr := eng.Close()
+	for i := range subResults {
+		res.Accesses += subResults[i].Accesses
+		res.Batches += subResults[i].Batches
+		res.Dropped += subResults[i].Dropped
+		if err == nil {
+			err = errs[i]
+		}
+	}
+	if err == nil {
+		err = closeErr
 	}
 	res.Elapsed = time.Since(start)
 	captureEngineHealth(eng, &res)
-	finishResult(dir, &res)
+	res.Counters = dir.Counters()
+	res.Stats = dir.Stats()
+	res.ShardLens = dir.ShardLens()
+	res.Capacity = dir.Capacity()
+	res.Resizes = dir.ResizeStats()
 	return res, err
 }
 
@@ -506,10 +389,8 @@ func captureEngineHealth(eng *engine.Engine, res *Result) {
 	}
 }
 
-// recordAccess converts one trace record to the directory access both
-// submission paths apply, rejecting out-of-range cores — the shared
-// conversion that keeps the direct and engine pipelines applying
-// identical streams.
+// recordAccess converts one trace record to the directory access it
+// replays as, rejecting out-of-range cores.
 func recordAccess(rec trace.Record, numCaches int) (directory.Access, error) {
 	if rec.Core < 0 || rec.Core >= numCaches {
 		return directory.Access{}, fmt.Errorf("replay: record core %d out of range (directory tracks %d caches)", rec.Core, numCaches)
@@ -522,9 +403,10 @@ func recordAccess(rec trace.Record, numCaches int) (directory.Access, error) {
 }
 
 // produce reads src to EOF, submitting fixed-size detached batches to
-// eng and tallying into res. On an error the pending partial batch is
-// counted as dropped. The background fraction is paid down with a debt
-// accumulator — every 1.0 of accumulated debt makes the next batch
+// eng and tallying into res. On an error every record read but not
+// applied — the pending batch, the bad record, or the refused batch —
+// is counted as dropped. The background fraction is paid down with a
+// debt accumulator — every 1.0 of accumulated debt makes the next batch
 // Background — so the class mix is exact over any run length and
 // identical across runs.
 func produce(eng *engine.Engine, src Source, numCaches, batchSize int, background float64, res *Result) error {
@@ -541,6 +423,7 @@ func produce(eng *engine.Engine, src Source, numCaches, batchSize int, backgroun
 			class = qos.Background
 		}
 		if _, err := eng.Submit(ctx, batch, engine.SubmitOptions{Class: class, Detached: true}); err != nil {
+			res.Dropped += uint64(len(batch))
 			return err
 		}
 		res.Accesses += uint64(len(batch))
@@ -553,12 +436,13 @@ func produce(eng *engine.Engine, src Source, numCaches, batchSize int, backgroun
 		if err == io.EOF {
 			return flush()
 		}
-		var acc directory.Access
-		if err == nil {
-			acc, err = recordAccess(rec, numCaches)
-		}
 		if err != nil {
 			res.Dropped += uint64(len(batch))
+			return err
+		}
+		acc, err := recordAccess(rec, numCaches)
+		if err != nil {
+			res.Dropped += uint64(len(batch)) + 1
 			return err
 		}
 		batch = append(batch, acc)
@@ -568,65 +452,6 @@ func produce(eng *engine.Engine, src Source, numCaches, batchSize int, backgroun
 			}
 		}
 	}
-}
-
-// RunMulti is the multi-producer form of the engine path: every source
-// gets its own producing goroutine, all submitting concurrently to one
-// DirectoryEngine over the same directory — the submission-side scaling
-// a single serial producer (either path of Run) cannot express.
-// Options.Via must be ViaEngine (the direct pipeline's producer is
-// inherently serial). Producers run their sources to completion; the
-// first error (with its producer's dropped count) is reported alongside
-// the combined Result.
-func RunMulti(dir *directory.ShardedDirectory, srcs []Source, o Options) (Result, error) {
-	o = o.withDefaults()
-	if o.Via != ViaEngine {
-		return Result{}, fmt.Errorf("replay: RunMulti requires Options.Via == ViaEngine (the %s pipeline is single-producer)", ViaApplyShard)
-	}
-	if err := o.validateBackground(); err != nil {
-		return Result{}, err
-	}
-	if len(srcs) == 0 {
-		return Result{}, fmt.Errorf("replay: RunMulti needs at least one source")
-	}
-	eng, err := engine.New(dir, o.Engine)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Via:       ViaEngine,
-		Producers: len(srcs),
-		Workers:   eng.Options().Drainers,
-		BatchSize: o.BatchSize,
-	}
-	numCaches := dir.NumCaches()
-	subResults := make([]Result, len(srcs))
-	errs := make([]error, len(srcs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, src := range srcs {
-		wg.Add(1)
-		go func(i int, src Source) {
-			defer wg.Done()
-			errs[i] = produce(eng, src, numCaches, o.BatchSize, o.Background, &subResults[i])
-		}(i, src)
-	}
-	wg.Wait()
-	if cerr := eng.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	for i := range subResults {
-		res.Accesses += subResults[i].Accesses
-		res.Batches += subResults[i].Batches
-		res.Dropped += subResults[i].Dropped
-		if errs[i] != nil && err == nil {
-			err = errs[i]
-		}
-	}
-	res.Elapsed = time.Since(start)
-	captureEngineHealth(eng, &res)
-	finishResult(dir, &res)
-	return res, err
 }
 
 // ReplayTrace replays a recorded trace through the sharded directory.

@@ -2,11 +2,16 @@ package replay
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
 	"cuckoodir/internal/directory"
+	"cuckoodir/internal/engine"
+	"cuckoodir/internal/faults"
+	"cuckoodir/internal/qos"
 	"cuckoodir/internal/trace"
 	"cuckoodir/internal/workload"
 )
@@ -66,54 +71,103 @@ func TestSynthesizeMatchesCapture(t *testing.T) {
 	}
 }
 
+// countingSource counts the records its inner source yields, so a test
+// knows how many records a run read even when it stops early.
+type countingSource struct {
+	src  Source
+	read uint64
+}
+
+func (c *countingSource) Next() (trace.Record, error) {
+	rec, err := c.src.Next()
+	if err == nil {
+		c.read++
+	}
+	return rec, err
+}
+
+// checkConserved asserts the replay conservation laws on a run over a
+// fresh directory: every record read is applied or dropped, the
+// directory saw exactly the applied accesses, and every class completed
+// what it submitted, the classes together accounting for every applied
+// access. No replay test injects apply faults, so nothing may err.
+func checkConserved(t *testing.T, dir *directory.ShardedDirectory, res Result, read uint64) {
+	t.Helper()
+	if res.Accesses+res.Dropped != read {
+		t.Errorf("applied %d + dropped %d != %d records read", res.Accesses, res.Dropped, read)
+	}
+	if ops := dir.Counters().Ops(); ops != res.Accesses {
+		t.Errorf("directory counted %d ops, want the %d applied accesses", ops, res.Accesses)
+	}
+	var submitted uint64
+	for _, c := range res.Classes {
+		if c.SubmittedAccesses != c.CompletedAccesses {
+			t.Errorf("class %s: submitted %d != completed %d accesses", c.Class, c.SubmittedAccesses, c.CompletedAccesses)
+		}
+		submitted += c.SubmittedAccesses
+	}
+	if submitted != res.Accesses {
+		t.Errorf("classes submitted %d accesses, want the %d applied", submitted, res.Accesses)
+	}
+	if res.Erred != 0 {
+		t.Errorf("%d accesses erred on a run without apply faults", res.Erred)
+	}
+}
+
 // TestRunCountsAndStats: every record is applied exactly once, batches
-// partition the stream, and the merged stats see one event per access.
+// partition the stream, and the merged stats see one event per access,
+// whatever the drainer count.
 func TestRunCountsAndStats(t *testing.T) {
 	const n = 10_000
-	for _, workers := range []int{1, 4} {
+	for _, drainers := range []int{1, 4} {
 		d := testDir(t, 8)
 		res, err := Run(d, Synthesize(testProfile(t), testCores, 1, n),
-			Options{Workers: workers, BatchSize: 256})
+			Options{BatchSize: 256, Engine: engine.Options{Drainers: drainers}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkConserved(t, d, res, n)
 		if res.Accesses != n {
-			t.Fatalf("workers=%d: applied %d accesses, want %d", workers, res.Accesses, n)
+			t.Fatalf("drainers=%d: applied %d accesses, want %d", drainers, res.Accesses, n)
 		}
-		// Shard-affine batching: at least ceil(n/256) batches, at most
-		// one extra partial batch per shard from the final flush.
-		if min, max := uint64((n+255)/256), uint64(n/256+8); res.Batches < min || res.Batches > max {
-			t.Fatalf("workers=%d: %d batches, want %d..%d", workers, res.Batches, min, max)
+		if res.Drainers != drainers || res.Producers != 1 {
+			t.Fatalf("drainers=%d: result echoes %d drainers, %d producers", drainers, res.Drainers, res.Producers)
+		}
+		// Fixed-size batches: the last one carries the remainder.
+		if want := uint64((n + 255) / 256); res.Batches != want {
+			t.Fatalf("drainers=%d: %d batches, want %d", drainers, res.Batches, want)
 		}
 		if got := res.Stats.Events.Total(); got == 0 {
-			t.Fatalf("workers=%d: merged stats saw no events", workers)
+			t.Fatalf("drainers=%d: merged stats saw no events", drainers)
 		}
 		if res.Entries() != d.Len() || res.Entries() == 0 {
-			t.Fatalf("workers=%d: entries %d, dir len %d", workers, res.Entries(), d.Len())
+			t.Fatalf("drainers=%d: entries %d, dir len %d", drainers, res.Entries(), d.Len())
 		}
 		if res.Occupancy() <= 0 || res.Occupancy() > 1 {
-			t.Fatalf("workers=%d: occupancy %f out of range", workers, res.Occupancy())
+			t.Fatalf("drainers=%d: occupancy %f out of range", drainers, res.Occupancy())
 		}
 		if res.ShardImbalance() < 1 {
-			t.Fatalf("workers=%d: imbalance %f < 1", workers, res.ShardImbalance())
+			t.Fatalf("drainers=%d: imbalance %f < 1", drainers, res.ShardImbalance())
 		}
-		if !strings.Contains(res.String(), "accesses") {
-			t.Fatalf("report: %q", res.String())
+		if s := res.String(); !strings.Contains(s, "accesses") || !strings.Contains(s, fmt.Sprintf("%d drainers", drainers)) {
+			t.Fatalf("report: %q", s)
 		}
 	}
 }
 
-// TestSingleWorkerMatchesSequential: with one worker the pipeline applies
-// batches in order, so directory contents are identical to feeding the
-// same stream through point operations.
+// TestSingleWorkerMatchesSequential: a single producer applies every
+// shard's accesses in stream order, so directory contents are identical
+// to feeding the same stream through point operations.
 func TestSingleWorkerMatchesSequential(t *testing.T) {
 	const n = 8192
 	prof := testProfile(t)
 
 	par := testDir(t, 4)
-	if _, err := Run(par, Synthesize(prof, testCores, 7, n), Options{Workers: 1, BatchSize: 128}); err != nil {
+	res, err := Run(par, Synthesize(prof, testCores, 7, n), Options{BatchSize: 128})
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, par, res, n)
 
 	seq := testDir(t, 4)
 	src := Synthesize(prof, testCores, 7, n)
@@ -128,15 +182,24 @@ func TestSingleWorkerMatchesSequential(t *testing.T) {
 			seq.Read(rec.Access.Addr, rec.Core)
 		}
 	}
+	assertSameDirectory(t, par, seq)
+}
 
-	if par.Len() != seq.Len() {
-		t.Fatalf("parallel len %d != sequential len %d", par.Len(), seq.Len())
+// assertSameDirectory fails unless got and want hold identical
+// counters, block counts and per-address sharer sets.
+func assertSameDirectory(t *testing.T, got, want *directory.ShardedDirectory) {
+	t.Helper()
+	if gc, wc := got.Counters(), want.Counters(); gc != wc {
+		t.Fatalf("counters diverge:\nreplay %+v\nreference %+v", gc, wc)
 	}
-	seqContents := map[uint64]uint64{}
-	seq.ForEach(func(addr, sharers uint64) bool { seqContents[addr] = sharers; return true })
-	par.ForEach(func(addr, sharers uint64) bool {
-		if seqContents[addr] != sharers {
-			t.Fatalf("addr %#x: parallel sharers %#x != sequential %#x", addr, sharers, seqContents[addr])
+	if got.Len() != want.Len() {
+		t.Fatalf("tracked blocks: replay %d, reference %d", got.Len(), want.Len())
+	}
+	ref := map[uint64]uint64{}
+	want.ForEach(func(addr, sharers uint64) bool { ref[addr] = sharers; return true })
+	got.ForEach(func(addr, sharers uint64) bool {
+		if ref[addr] != sharers {
+			t.Fatalf("addr %#x: replay sharers %#x != reference %#x", addr, sharers, ref[addr])
 		}
 		return true
 	})
@@ -153,10 +216,12 @@ func TestReplayTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayTrace(testDir(t, 8), rd, Options{Workers: 4, BatchSize: 64})
+	d := testDir(t, 8)
+	res, err := ReplayTrace(d, rd, Options{BatchSize: 64, Engine: engine.Options{Drainers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, d, res, n)
 	if res.Accesses != n {
 		t.Fatalf("replayed %d, want %d", res.Accesses, n)
 	}
@@ -194,49 +259,69 @@ func (s *errSource) Next() (trace.Record, error) {
 }
 
 func TestRunSourceError(t *testing.T) {
-	res, err := Run(testDir(t, 2), &errSource{n: 700}, Options{Workers: 2, BatchSize: 256})
+	d := testDir(t, 2)
+	res, err := Run(d, &errSource{n: 700}, Options{BatchSize: 256})
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("error = %v", err)
 	}
-	// Only complete batches were applied; partial per-shard batches are
-	// dropped on error — and the drop is REPORTED, not silent.
-	if res.Accesses > 512 || res.Accesses%256 != 0 {
-		t.Fatalf("applied %d accesses, want a multiple of the batch size <= 512", res.Accesses)
-	}
-	if res.Accesses != uint64(res.Batches)*256 {
-		t.Fatalf("accesses %d != batches %d x 256", res.Accesses, res.Batches)
-	}
-	if res.Accesses+res.Dropped != 700 {
-		t.Fatalf("applied %d + dropped %d != 700 records read", res.Accesses, res.Dropped)
-	}
-	if res.Dropped == 0 {
-		t.Fatal("a 700-record stream over 256-batches must leave a partial batch dropped")
+	checkConserved(t, d, res, 700)
+	// Only the two complete batches were submitted; the pending partial
+	// batch is dropped on error — and the drop is REPORTED, not silent.
+	if res.Accesses != 512 || res.Batches != 2 || res.Dropped != 700-512 {
+		t.Fatalf("applied %d in %d batches, dropped %d; want 512 in 2, dropped 188",
+			res.Accesses, res.Batches, res.Dropped)
 	}
 	if !strings.Contains(res.String(), "DROPPED") {
 		t.Fatalf("String() hides the drop: %q", res.String())
 	}
 }
 
+// TestRunSaturationCountsDropped: a batch the engine refuses is counted
+// as dropped — rejection is all-or-nothing, so the tally is exact and
+// every record read is still accounted for.
+func TestRunSaturationCountsDropped(t *testing.T) {
+	in := faults.New()
+	in.Arm(faults.QueueSaturation, faults.Trigger{Key: 0, After: 3, Count: 1})
+	d := testDir(t, 8)
+	src := &countingSource{src: Synthesize(testProfile(t), testCores, 1, 10_000)}
+	res, err := Run(d, src, Options{Engine: engine.Options{Policy: engine.RejectWhenFull, Faults: in}})
+	if !errors.Is(err, engine.ErrQueueFull) {
+		t.Fatalf("error = %v, want the injected queue-full refusal", err)
+	}
+	checkConserved(t, d, res, src.read)
+	if src.read != 4*DefaultBatchSize || res.Accesses != 3*DefaultBatchSize || res.Dropped != DefaultBatchSize {
+		t.Fatalf("read %d, applied %d, dropped %d; want 3 batches applied and the 4th dropped",
+			src.read, res.Accesses, res.Dropped)
+	}
+	if rej := res.Classes[qos.Foreground].Rejected; rej != 1 {
+		t.Fatalf("foreground rejected %d submissions, want 1", rej)
+	}
+}
+
 // TestRunCleanHasNoDrops: a clean run reports zero drops and keeps them
 // out of the one-line report.
 func TestRunCleanHasNoDrops(t *testing.T) {
-	res, err := Run(testDir(t, 2), Synthesize(testProfile(t), testCores, 5, 1000), Options{BatchSize: 256})
+	d := testDir(t, 2)
+	res, err := Run(d, Synthesize(testProfile(t), testCores, 5, 1000), Options{BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, d, res, 1000)
 	if res.Dropped != 0 || strings.Contains(res.String(), "DROPPED") {
 		t.Fatalf("clean run reports drops: %d, %q", res.Dropped, res.String())
 	}
 }
 
 // TestRunBadCore: a record whose core exceeds the tracked-cache count
-// fails cleanly instead of panicking inside Apply.
+// fails cleanly instead of panicking inside the engine, and the
+// records read up to it are reported dropped.
 func TestRunBadCore(t *testing.T) {
-	src := Synthesize(testProfile(t), testCores, 0, 100)
 	d := testDir(t, 2) // 16 caches: fine
-	if _, err := Run(d, src, Options{}); err != nil {
+	res, err := Run(d, Synthesize(testProfile(t), testCores, 0, 100), Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, d, res, 100)
 	small, err := directory.BuildSharded(directory.Spec{
 		Org: directory.OrgCuckoo, NumCaches: 4,
 		Geometry: directory.Geometry{Ways: 4, Sets: 64},
@@ -244,20 +329,29 @@ func TestRunBadCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(small, Synthesize(testProfile(t), testCores, 0, 100), Options{}); err == nil {
+	src := &countingSource{src: Synthesize(testProfile(t), testCores, 0, 100)}
+	res, err = Run(small, src, Options{})
+	if err == nil {
 		t.Fatal("core 4+ accepted by a 4-cache directory")
+	}
+	checkConserved(t, small, res, src.read)
+	if res.Accesses != 0 || res.Dropped == 0 {
+		t.Fatalf("bad-core run applied %d, dropped %d", res.Accesses, res.Dropped)
 	}
 }
 
-// TestRunConcurrent exercises the pipeline with many workers for the
+// TestRunConcurrent exercises the pipeline with many drainers for the
 // race detector.
 func TestRunConcurrent(t *testing.T) {
-	res, err := Run(testDir(t, 16), Synthesize(testProfile(t), testCores, 9, 30_000),
-		Options{Workers: 8, BatchSize: 128})
+	const n = 30_000
+	d := testDir(t, 16)
+	res, err := Run(d, Synthesize(testProfile(t), testCores, 9, n),
+		Options{BatchSize: 128, Engine: engine.Options{Drainers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Accesses != 30_000 {
+	checkConserved(t, d, res, n)
+	if res.Accesses != n {
 		t.Fatalf("applied %d", res.Accesses)
 	}
 }
@@ -282,10 +376,11 @@ func TestRunEngineAutoGrow(t *testing.T) {
 		CodeFrac: 0.3, SharedFrac: 0.3, WriteFrac: 0.2,
 		ZipfCode: 0.9, ZipfShared: 0.85, ZipfPrivate: 0.75,
 	}
-	res, err := ReplayWorkload(dir, prof, testCores, 7, 60_000, Options{Via: ViaEngine})
+	res, err := ReplayWorkload(dir, prof, testCores, 7, 60_000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConserved(t, dir, res, 60_000)
 	if res.Resizes.Started == 0 {
 		t.Fatalf("no online resize triggered: %+v (capacity %d, entries %d)",
 			res.Resizes, res.Capacity, res.Entries())
@@ -312,5 +407,32 @@ func TestRunEngineAutoGrow(t *testing.T) {
 	})
 	if len(seen) != res.Entries() {
 		t.Errorf("census %d entries, ShardLens total %d", len(seen), res.Entries())
+	}
+}
+
+// TestRunHonorsGrowPolicy: a default-options replay of the apache
+// stream over an undersized ^grow directory grows it online instead of
+// overflowing it — resizes complete and no entry is forcibly evicted.
+func TestRunHonorsGrowPolicy(t *testing.T) {
+	const n = 400_000
+	d, err := directory.BuildNamed("sharded-8^grow=0.85(cuckoo-4x512)", testCores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := d.(*directory.ShardedDirectory)
+	prof, err := workload.ByName("apache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(dir, Synthesize(prof, testCores, 0, n), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConserved(t, dir, res, n)
+	if res.Resizes.Completed == 0 {
+		t.Fatalf("no online resize completed: %+v", res.Resizes)
+	}
+	if res.Stats.ForcedEvictions != 0 {
+		t.Fatalf("%d forced invalidations: the ^grow policy was not honoured (%s)", res.Stats.ForcedEvictions, res)
 	}
 }
