@@ -7,8 +7,9 @@
 // paper's figures: a FIXED set of named benchmark cases (table
 // find/insert/delete at swept occupancies for each hash family,
 // including the pre-devirtualization interface-dispatch path as a
-// baseline, plus the sharded front-end's ApplyShardOps layer alone and
-// whole engine replay at swept producer counts) whose
+// baseline, plus the sharded front-end's ApplyShardOps layer alone, the
+// engine's submit-to-complete roundtrip, and whole engine replay at
+// swept producer counts) whose
 // results append to a stable, diffable JSON file, one labeled run per
 // PR. Future PRs extend the trajectory instead of re-measuring ad hoc.
 //
@@ -18,6 +19,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,6 +33,7 @@ import (
 
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
+	"cuckoodir/internal/engine"
 	"cuckoodir/internal/hashfn"
 	"cuckoodir/internal/replay"
 	"cuckoodir/internal/rng"
@@ -211,6 +214,32 @@ func benchDir(b *testing.B, shards int) *directory.ShardedDirectory {
 	return d
 }
 
+// oracleStream synthesizes the replayAccesses-long oracle stream the
+// replay cases submit, as directory accesses, for the layer cases to
+// build their inputs from outside the timer.
+func oracleStream(b *testing.B) []directory.Access {
+	prof, err := workload.ByName("oracle")
+	if err != nil {
+		b.Fatal(err)
+	}
+	accs := make([]directory.Access, 0, replayAccesses)
+	src := replay.Synthesize(prof, replayCores, 11, replayAccesses)
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			return accs
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		kind := directory.AccessRead
+		if rec.Access.Write {
+			kind = directory.AccessWrite
+		}
+		accs = append(accs, directory.Access{Kind: kind, Addr: rec.Access.Addr, Cache: rec.Core})
+	}
+}
+
 // applyShardOpsCase measures the sharded front-end layer alone: the
 // oracle stream the replay cases submit is generated and partitioned
 // into shard-affine windows of replayBatch accesses (in stream order,
@@ -220,10 +249,6 @@ func benchDir(b *testing.B, shards int) *directory.ShardedDirectory {
 // row shows what submission, queueing and completion add.
 func applyShardOpsCase(shards int) func(b *testing.B) {
 	return func(b *testing.B) {
-		prof, err := workload.ByName("oracle")
-		if err != nil {
-			b.Fatal(err)
-		}
 		type window struct {
 			shard int
 			accs  []directory.Access
@@ -231,18 +256,9 @@ func applyShardOpsCase(shards int) func(b *testing.B) {
 		var windows []window
 		route := benchDir(b, shards)
 		pending := make([][]directory.Access, shards)
-		src := replay.Synthesize(prof, replayCores, 11, replayAccesses)
-		for {
-			rec, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			kind := directory.AccessRead
-			if rec.Access.Write {
-				kind = directory.AccessWrite
-			}
-			h := route.ShardOf(rec.Access.Addr)
-			pending[h] = append(pending[h], directory.Access{Kind: kind, Addr: rec.Access.Addr, Cache: rec.Core})
+		for _, a := range oracleStream(b) {
+			h := route.ShardOf(a.Addr)
+			pending[h] = append(pending[h], a)
 			if len(pending[h]) == replayBatch {
 				windows = append(windows, window{h, pending[h]})
 				pending[h] = nil
@@ -264,6 +280,46 @@ func applyShardOpsCase(shards int) func(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(replayAccesses)*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
+	}
+}
+
+// roundtripBatch is the engine/roundtrip cases' submission size.
+const roundtripBatch = 64
+
+// engineRoundtripCase measures the engine layer: one producer submits
+// the oracle stream (generated outside the timer) as ticketed
+// roundtripBatch-access SubmitBatch calls, waiting on each ticket
+// before the next submission — submit, ring, drain and complete, one
+// batch in flight. Against sharded/applyshardops/* it shows what the
+// engine adds per access.
+func engineRoundtripCase(shards, drainers int) func(b *testing.B) {
+	return func(b *testing.B) {
+		stream := oracleStream(b)
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng, err := engine.New(benchDir(b, shards), engine.Options{Drainers: drainers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for lo := 0; lo < len(stream); lo += roundtripBatch {
+				tk, err := eng.SubmitBatch(ctx, stream[lo:min(lo+roundtripBatch, len(stream))])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tk.Wait(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := eng.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
 	}
 }
 
@@ -329,6 +385,10 @@ func Cases() []Case {
 	cases = append(cases, Case{
 		Name:  "sharded/applyshardops/shards=8",
 		Bench: applyShardOpsCase(8),
+	})
+	cases = append(cases, Case{
+		Name:  "engine/roundtrip/shards=8/drainers=8",
+		Bench: engineRoundtripCase(8, 8),
 	})
 	for _, sw := range []struct{ shards, producers int }{
 		{8, 1}, {8, 4},

@@ -36,6 +36,10 @@ func BenchmarkShardedApplyShardOps(b *testing.B) {
 	benchGroup(b, "sharded/applyshardops/")
 }
 
+func BenchmarkEngineRoundtrip(b *testing.B) {
+	benchGroup(b, "engine/roundtrip/")
+}
+
 // TestCasesFixed pins the suite's case names: the trajectory file is
 // only comparable across runs if the set stays append-only. A case is
 // retired only once its code path is gone and a layer case measures
@@ -59,6 +63,7 @@ func TestCasesFixed(t *testing.T) {
 		"table/insert/iface/occ=70",
 		"table/delete/strong/occ=50",
 		"sharded/applyshardops/shards=8",
+		"engine/roundtrip/shards=8/drainers=8",
 		"replay/engine/shards=8/producers=1",
 		"replay/engine/shards=8/producers=4",
 	} {

@@ -242,6 +242,9 @@ type request struct {
 	// ends the drainer (for its ring's class).
 	barrier bool
 	stop    bool
+	// drainer is the queue submission routes the request to; only send
+	// reads it. Declared last so it fills the struct's tail padding.
+	drainer int32
 }
 
 // classRings is one drainer's per-class ring set: one bounded MPSC ring
@@ -698,8 +701,13 @@ type SubmitOptions struct {
 // the ticket is nil when o.OnDone or o.Detached is set. ctx applies to
 // the enqueue only (a blocked submitter under BlockWhenFull, a Retry
 // backoff); once enqueued the batch is applied regardless of ctx.
-// Unless Detached, the batch slice is copied where routing requires it
-// but may be retained until completion — do not mutate it before then.
+//
+// A ticketed or OnDone batch whose accesses all home to one drainer
+// (always the case with one drainer) is enqueued as-is: the engine
+// aliases accs until the batch completes, so do not mutate it before
+// then. A batch spanning several drainers is copied into per-drainer
+// sub-batches during routing, and a Detached batch is always copied,
+// so its slice may be reused as soon as Submit returns.
 func (e *Engine) Submit(ctx context.Context, accs []directory.Access, o SubmitOptions) (*Ticket, error) {
 	if o.Retry != nil {
 		return e.submitRetry(ctx, accs, o)
@@ -739,47 +747,21 @@ func (e *Engine) submit(ctx context.Context, accs []directory.Access, o SubmitOp
 	}
 
 	// Route the batch: per-drainer sub-batches, in batch order.
-	D := e.opt.Drainers
 	recording := !o.Detached
+	var one [1]request // the single-request case never leaves the stack
 	var reqs []request
-	var queues []int
-	if D == 1 {
+	if e.opt.Drainers == 1 {
 		if !recording {
 			// A detached submission has no ticket, so the caller can
 			// never know when buffer reuse is safe — take a copy instead
-			// of aliasing the batch (the multi-drainer routing below
-			// copies as a side effect of splitting).
+			// of aliasing the batch (route copies as a side effect of
+			// splitting).
 			accs = append([]directory.Access(nil), accs...)
 		}
-		reqs = []request{{accs: accs, class: c}}
-		queues = []int{0}
+		one[0] = request{accs: accs, class: c}
+		reqs = one[:]
 	} else {
-		subAccs := make([][]directory.Access, D)
-		var subIdxs [][]int32
-		if recording {
-			subIdxs = make([][]int32, D)
-		}
-		for i, a := range accs {
-			q := e.queueOf(e.dir.ShardOf(a.Addr))
-			subAccs[q] = append(subAccs[q], a)
-			if recording {
-				subIdxs[q] = append(subIdxs[q], int32(i))
-			}
-		}
-		for q, sub := range subAccs {
-			if len(sub) == 0 {
-				continue
-			}
-			r := request{accs: sub, class: c}
-			// A whole batch landing on one queue keeps its results
-			// contiguous — no scatter indices needed. Detached batches
-			// record nothing at all.
-			if recording && len(sub) != len(accs) {
-				r.idxs = subIdxs[q]
-			}
-			reqs = append(reqs, r)
-			queues = append(queues, q)
-		}
+		reqs = e.route(one[:0], accs, c, recording)
 	}
 
 	var t *Ticket
@@ -793,7 +775,7 @@ func (e *Engine) submit(ctx context.Context, accs []directory.Access, o SubmitOp
 			}
 		}
 	}
-	if err := e.send(ctx, c, queues, reqs); err != nil {
+	if err := e.send(ctx, c, reqs); err != nil {
 		return nil, err
 	}
 	if o.OnDone != nil {
@@ -802,13 +784,81 @@ func (e *Engine) submit(ctx context.Context, accs []directory.Access, o SubmitOp
 	return t, nil
 }
 
-// send enqueues reqs[i] on class c's ring of drainer queues[i] under
+// route splits accs into one request per drainer it touches, in
+// ascending drainer order, with a two-pass counting sort: pass 1 counts
+// each drainer's accesses, pass 2 places every access, in batch order,
+// into its drainer's span of ONE backing array (and, when recording,
+// its batch index into one parallel []int32 for the Op scatter). Batch
+// order within a span is what keeps per-shard FIFO. Each span is carved
+// with a full slice expression, so a sub-batch never exposes its
+// neighbour's storage. A recording batch that touches a single drainer
+// is sent as-is: no copy and no scatter indices, its Ops land straight
+// in the ticket. A detached batch is always copied. The requests are
+// built in dst's storage when it has room (the caller's stack slot
+// covers the one-request case), so with up to 64 drainers routing
+// costs at most three allocations whatever the drainer count.
+func (e *Engine) route(dst []request, accs []directory.Access, c qos.Class, recording bool) []request {
+	D := e.opt.Drainers
+	var stack [64]int32
+	var cnt []int32
+	if D <= len(stack) {
+		cnt = stack[:D]
+	} else {
+		cnt = make([]int32, D)
+	}
+	for _, a := range accs {
+		cnt[e.queueOf(e.dir.ShardOf(a.Addr))]++
+	}
+	touched, last := 0, 0
+	for q, k := range cnt {
+		if k > 0 {
+			touched++
+			last = q
+		}
+	}
+	if touched == 1 && recording {
+		return append(dst[:0], request{accs: accs, class: c, drainer: int32(last)})
+	}
+	if cap(dst) < touched {
+		dst = make([]request, 0, touched)
+	}
+	dst = dst[:0]
+	buf := make([]directory.Access, len(accs))
+	var idxs []int32
+	if recording {
+		idxs = make([]int32, len(accs))
+	}
+	// Carve the spans; cnt[q] becomes drainer q's request slot.
+	off := int32(0)
+	for q, k := range cnt {
+		if k == 0 {
+			continue
+		}
+		r := request{accs: buf[off : off : off+k], class: c, drainer: int32(q)}
+		if recording {
+			r.idxs = idxs[off : off : off+k]
+		}
+		cnt[q] = int32(len(dst))
+		dst = append(dst, r)
+		off += k
+	}
+	for i, a := range accs {
+		r := &dst[cnt[e.queueOf(e.dir.ShardOf(a.Addr))]]
+		r.accs = append(r.accs, a)
+		if recording {
+			r.idxs = append(r.idxs, int32(i))
+		}
+	}
+	return dst
+}
+
+// send enqueues each request on class c's ring of its drainer under
 // the submission lock, applying the backpressure policy. Backpressure
 // is per class: under RejectWhenFull it first reserves space on every
 // target ring of c — the whole submission enqueues or none of it does,
 // and a refusal carries the class (QueueFullError) — while under
 // BlockWhenFull only class c's rings can block the submitter.
-func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []request) error {
+func (e *Engine) send(ctx context.Context, c qos.Class, reqs []request) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -845,22 +895,32 @@ func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []req
 		reqs[i].enq = now
 	}
 	if e.opt.Policy == RejectWhenFull {
-		if !e.reserve(c, queues) {
+		if !e.reserve(c, reqs) {
 			e.rejected.Add(1)
 			e.clsRej[c].Add(1)
 			return queueFullErrs[c]
 		}
 		// Reserved space means the buffered sends below cannot block.
-		for i, q := range queues {
-			e.queues[q][c] <- reqs[i]
+		for i := range reqs {
+			e.queues[reqs[i].drainer][c] <- reqs[i]
 			e.account(reqs[i])
 		}
 		return nil
 	}
-	for i, q := range queues {
+	for i := range reqs {
+		q := int(reqs[i].drainer)
+		ring := e.queues[q][c]
 		e.depth[di(q, c)].Add(1)
+		// A ring with room takes the request without the select below,
+		// whose ctx.Done() case costs a full select even when unused.
 		select {
-		case e.queues[q][c] <- reqs[i]:
+		case ring <- reqs[i]:
+			e.account(reqs[i])
+			continue
+		default:
+		}
+		select {
+		case ring <- reqs[i]:
 			e.account(reqs[i])
 		case <-ctx.Done():
 			e.depth[di(q, c)].Add(-1)
@@ -882,16 +942,17 @@ func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []req
 	return nil
 }
 
-// reserve atomically claims one slot on class c's ring of every queue
-// in queues (which may repeat indices — each occurrence claims a slot),
-// rolling back and reporting false if any ring is full.
-func (e *Engine) reserve(c qos.Class, queues []int) bool {
-	for i, q := range queues {
+// reserve atomically claims one slot on class c's ring of every
+// request's drainer, rolling back and reporting false if any ring is
+// full.
+func (e *Engine) reserve(c qos.Class, reqs []request) bool {
+	for i := range reqs {
+		q := int(reqs[i].drainer)
 		for {
 			d := e.depth[di(q, c)].Load()
 			if d >= int64(e.opt.QueueDepth) {
-				for _, back := range queues[:i] {
-					e.depth[di(back, c)].Add(-1)
+				for _, back := range reqs[:i] {
+					e.depth[di(int(back.drainer), c)].Add(-1)
 				}
 				return false
 			}
@@ -1516,11 +1577,16 @@ func (e *Engine) applyShard(h int, accs []directory.Access, ops []directory.Op) 
 //
 //cuckoo:cold
 func (e *Engine) quarantine(h int, p any) error {
+	// Raise quarCount BEFORE the flag becomes visible: a submitter that
+	// can observe the quarantine (through Health, say) must also take
+	// submit's quarantine check.
+	e.quarCount.Add(1)
 	if e.quar[h].CompareAndSwap(false, true) {
 		e.poison[h].Store(fmt.Errorf("contained panic: %v", p))
-		e.quarCount.Add(1)
 		e.contained.Add(1)
 		e.degraded.Store(true)
+	} else {
+		e.quarCount.Add(-1)
 	}
 	return e.quarantinedErr(h)
 }
