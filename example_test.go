@@ -6,13 +6,14 @@ import (
 	"cuckoodir"
 )
 
-// ExampleNewCuckooDirectory drives one directory slice with the coherence
-// events of two caches sharing a block.
-func ExampleNewCuckooDirectory() {
-	dir := cuckoodir.NewCuckooDirectory(cuckoodir.CuckooConfig{
-		Ways:       4,
-		SetsPerWay: 64,
-	}, 8)
+// ExampleMustBuild drives one Cuckoo directory slice, built from a Spec,
+// with the coherence events of two caches sharing a block.
+func ExampleMustBuild() {
+	dir := cuckoodir.MustBuild(cuckoodir.Spec{
+		Org:       cuckoodir.OrgCuckoo,
+		NumCaches: 8,
+		Geometry:  cuckoodir.Geometry{Ways: 4, Sets: 64},
+	})
 
 	dir.Read(0x1000, 2)        // cache 2 fills the block
 	dir.Read(0x1000, 5)        // cache 5 joins as a sharer

@@ -2,21 +2,70 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cuckoodir/internal/stats"
 )
 
-// Event names used in the directory's event-mix accounting. These are the
-// five operation classes of the paper's energy methodology (§5.6 footnote:
-// insert 23.5%, add sharer 26.9%, remove sharer 24.9%, remove tag 23.5%,
-// invalidate all sharers 1.2%).
+// Event is one of the five directory event classes of the paper's energy
+// methodology (§5.6 footnote: insert 23.5%, add sharer 26.9%, remove
+// sharer 24.9%, remove tag 23.5%, invalidate all sharers 1.2%).
+type Event uint8
+
+// The event classes, in the order the event-mix table prints them.
 const (
-	EvInsertTag    = "insert-tag"
-	EvAddSharer    = "add-sharer"
-	EvRemoveSharer = "remove-sharer"
-	EvRemoveTag    = "remove-tag"
-	EvInvalidate   = "invalidate-sharers"
+	EvInsertTag Event = iota
+	EvAddSharer
+	EvRemoveSharer
+	EvRemoveTag
+	EvInvalidate
+	// NumEvents is the number of event classes.
+	NumEvents
 )
+
+var eventNames = [NumEvents]string{
+	EvInsertTag:    "insert-tag",
+	EvAddSharer:    "add-sharer",
+	EvRemoveSharer: "remove-sharer",
+	EvRemoveTag:    "remove-tag",
+	EvInvalidate:   "invalidate-sharers",
+}
+
+// String returns the event's name, as the event-mix table labels it.
+func (e Event) String() string {
+	if e < NumEvents {
+		return eventNames[e]
+	}
+	return fmt.Sprintf("Event(%d)", uint8(e))
+}
+
+// EventCounts counts directory events by class: counting one is an array
+// increment, cheap enough for every directory access.
+type EventCounts [NumEvents]uint64
+
+// Get returns the count of event e.
+func (c EventCounts) Get(e Event) uint64 { return c[e] }
+
+// Total returns the count over all classes.
+func (c EventCounts) Total() uint64 {
+	var t uint64
+	for _, n := range c {
+		t += n
+	}
+	return t
+}
+
+// Fractions returns each class's share of the total (all zero when
+// nothing was counted).
+func (c EventCounts) Fractions() [NumEvents]float64 {
+	var f [NumEvents]float64
+	if t := c.Total(); t != 0 {
+		for e, n := range c {
+			f[e] = float64(n) / float64(t)
+		}
+	}
+	return f
+}
 
 // DirConfig configures a Cuckoo directory slice.
 type DirConfig struct {
@@ -42,7 +91,7 @@ type Forced struct {
 //cuckoo:stats merge=Merge
 type DirStats struct {
 	// Events counts the five directory event classes.
-	Events *stats.CounterSet
+	Events EventCounts
 	// Attempts is the per-insertion write-attempt histogram (1..cap),
 	// the quantity of Figures 7, 9, 10 and 11.
 	Attempts *stats.Histogram
@@ -59,10 +108,7 @@ type DirStats struct {
 
 // NewDirStats returns zeroed statistics sized for the given attempt cap.
 func NewDirStats(maxAttempts int) *DirStats {
-	return &DirStats{
-		Events:   stats.NewCounterSet(),
-		Attempts: stats.NewHistogram(maxAttempts),
-	}
+	return &DirStats{Attempts: stats.NewHistogram(maxAttempts)}
 }
 
 // MergeDirStats merges per-slice statistics into one fresh aggregate.
@@ -99,12 +145,74 @@ func (s *DirStats) InvalidationRate() float64 {
 
 // Merge accumulates other into s (used to aggregate per-slice statistics).
 func (s *DirStats) Merge(other *DirStats) {
-	s.Events.Merge(other.Events)
+	for e, n := range other.Events {
+		s.Events[e] += n
+	}
 	s.Attempts.Merge(other.Attempts)
 	s.ForcedEvictions += other.ForcedEvictions
 	s.ForcedBlocks += other.ForcedBlocks
 	s.OccupancySum += other.OccupancySum
 	s.OccupancySamples += other.OccupancySamples
+}
+
+// The event rule for slices that keep each entry's sharers as a bit mask
+// (one bit per cache). Directory here, and the set-associative, exact and
+// Tagless slices of internal/directory, all account through these
+// helpers, so the same access counts as the same event in every
+// organization.
+
+// ReadHit returns a tracked entry's mask after the cache with bit reads
+// the block: a new sharer counts add-sharer, a present one nothing.
+func (s *DirStats) ReadHit(mask, bit uint64) uint64 {
+	if mask&bit == 0 {
+		s.Events[EvAddSharer]++
+	}
+	return mask | bit
+}
+
+// WriteHit returns the caches a write by bit must invalidate in a tracked
+// entry holding mask; the entry's new mask is bit alone. It counts
+// invalidate-sharers when any other cache shares the block, else
+// add-sharer when the writer was not yet a sharer.
+func (s *DirStats) WriteHit(mask, bit uint64) (invalidate uint64) {
+	invalidate = mask &^ bit
+	if invalidate != 0 {
+		s.Events[EvInvalidate]++
+	} else if mask&bit == 0 {
+		s.Events[EvAddSharer]++
+	}
+	return invalidate
+}
+
+// EvictHit returns a tracked entry's mask after the cache with bit, which
+// must be a sharer, drops the block: remove-sharer, then remove-tag when
+// the entry empties (the caller frees it on a zero result).
+func (s *DirStats) EvictHit(mask, bit uint64) uint64 {
+	s.Events[EvRemoveSharer]++
+	mask &^= bit
+	if mask == 0 {
+		s.Events[EvRemoveTag]++
+	}
+	return mask
+}
+
+// RecordInsert records one entry allocation: insert-tag, its write
+// attempts and, when the slice has a capacity, an occupancy sample of
+// used/capacity taken after the allocation.
+func (s *DirStats) RecordInsert(attempts, used, capacity int) {
+	s.Events[EvInsertTag]++
+	s.Attempts.Add(attempts)
+	if capacity > 0 {
+		s.OccupancySum += float64(used) / float64(capacity)
+		s.OccupancySamples++
+	}
+}
+
+// RecordForced records one entry the slice discarded to make room, and
+// the cached copies of its sharers that must be invalidated.
+func (s *DirStats) RecordForced(sharers uint64) {
+	s.ForcedEvictions++
+	s.ForcedBlocks += uint64(bits.OnesCount64(sharers))
 }
 
 // Directory is one slice of the distributed Cuckoo directory: a d-ary
@@ -174,14 +282,10 @@ func (d *Directory) insert(addr, mask uint64) *Forced {
 	if res.Present {
 		panic("core: insert of an existing tag — caller must look up first")
 	}
-	d.stats.Events.Inc(EvInsertTag)
-	d.stats.Attempts.Add(res.Attempts)
+	d.stats.RecordInsert(res.Attempts, d.t.Len(), d.t.Capacity())
 	d.lastAttempts = res.Attempts
-	d.stats.OccupancySum += d.t.Occupancy()
-	d.stats.OccupancySamples++
 	if res.Evicted != nil {
-		d.stats.ForcedEvictions++
-		d.stats.ForcedBlocks += uint64(popcount(res.Evicted.Val))
+		d.stats.RecordForced(res.Evicted.Val)
 		return &Forced{Addr: res.Evicted.Key, Sharers: res.Evicted.Val}
 	}
 	return nil
@@ -201,10 +305,7 @@ func (d *Directory) Read(addr uint64, cache int) *Forced {
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
 	if p := d.t.Find(addr); p != nil {
-		if *p&bit == 0 {
-			*p |= bit
-			d.stats.Events.Inc(EvAddSharer)
-		}
+		*p = d.stats.ReadHit(*p, bit)
 		return nil
 	}
 	return d.insert(addr, bit)
@@ -218,12 +319,7 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
 	if p := d.t.Find(addr); p != nil {
-		inv := *p &^ bit
-		if inv != 0 {
-			d.stats.Events.Inc(EvInvalidate)
-		} else if *p&bit == 0 {
-			d.stats.Events.Inc(EvAddSharer)
-		}
+		inv := d.stats.WriteHit(*p, bit)
 		*p = bit
 		return inv, nil
 	}
@@ -242,23 +338,12 @@ func (d *Directory) Evict(addr uint64, cache int) {
 	if p == nil || *p&bit == 0 {
 		return
 	}
-	*p &^= bit
-	d.stats.Events.Inc(EvRemoveSharer)
-	if *p == 0 {
+	if *p = d.stats.EvictHit(*p, bit); *p == 0 {
 		d.t.Delete(addr)
-		d.stats.Events.Inc(EvRemoveTag)
 	}
 }
 
 // ForEach iterates over tracked (addr, sharer mask) pairs.
 func (d *Directory) ForEach(fn func(addr, sharers uint64) bool) {
 	d.t.ForEach(func(e Entry[uint64]) bool { return fn(e.Key, e.Val) })
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

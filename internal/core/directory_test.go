@@ -105,7 +105,7 @@ func TestDirectoryEventMix(t *testing.T) {
 	d.Write(1, 0) // invalidate-sharers (cache 1 invalidated)
 	d.Evict(1, 0) // remove-sharer + remove-tag
 	ev := d.Stats().Events
-	want := map[string]uint64{
+	want := map[Event]uint64{
 		EvInsertTag:    1,
 		EvAddSharer:    1,
 		EvInvalidate:   1,
@@ -225,16 +225,17 @@ func TestDirectoryPanics(t *testing.T) {
 
 func TestDirStatsMerge(t *testing.T) {
 	a, b := NewDirStats(32), NewDirStats(32)
-	a.Events.Inc(EvInsertTag)
+	a.Events[EvInsertTag]++
 	a.Attempts.Add(1)
 	a.OccupancySum, a.OccupancySamples = 0.5, 1
-	b.Events.Inc(EvInsertTag)
+	b.Events[EvInsertTag]++
+	b.Events[EvInvalidate] += 4
 	b.Attempts.Add(3)
 	b.ForcedEvictions = 2
 	b.ForcedBlocks = 5
 	b.OccupancySum, b.OccupancySamples = 1.0, 1
 	a.Merge(b)
-	if a.Events.Get(EvInsertTag) != 2 || a.Attempts.Count() != 2 {
+	if a.Events.Get(EvInsertTag) != 2 || a.Events.Get(EvInvalidate) != 4 || a.Attempts.Count() != 2 {
 		t.Fatal("Merge lost events")
 	}
 	if a.ForcedEvictions != 2 || a.ForcedBlocks != 5 {
@@ -245,6 +246,29 @@ func TestDirStatsMerge(t *testing.T) {
 	}
 	if a.InvalidationRate() != 1.0 {
 		t.Fatalf("InvalidationRate = %f", a.InvalidationRate())
+	}
+}
+
+func TestEventCounts(t *testing.T) {
+	names := []string{"insert-tag", "add-sharer", "remove-sharer", "remove-tag", "invalidate-sharers"}
+	for e := Event(0); e < NumEvents; e++ {
+		if e.String() != names[e] {
+			t.Errorf("Event(%d).String() = %q, want %q", e, e.String(), names[e])
+		}
+	}
+	if s := NumEvents.String(); s != "Event(5)" {
+		t.Errorf("out-of-range String = %q", s)
+	}
+	var c EventCounts
+	if c.Total() != 0 || c.Fractions() != [NumEvents]float64{} {
+		t.Fatal("empty counts not zero")
+	}
+	c[EvAddSharer], c[EvRemoveTag] = 3, 1
+	if c.Total() != 4 || c.Get(EvAddSharer) != 3 {
+		t.Fatalf("Total/Get = %d/%d", c.Total(), c.Get(EvAddSharer))
+	}
+	if f := c.Fractions(); f[EvAddSharer] != 0.75 || f[EvRemoveTag] != 0.25 || f[EvInsertTag] != 0 {
+		t.Fatalf("Fractions = %v", f)
 	}
 }
 

@@ -6,14 +6,21 @@ import (
 
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/rng"
+	"cuckoodir/internal/sharer"
 )
 
-// makeAll returns one instance of every organization, sized comparably for
-// a small 8-cache system.
+// The private-cache geometry makeAll's duplicate-tag slice mirrors.
+const (
+	allCacheSets  = 128
+	allCacheAssoc = 4
+)
+
+// makeAll returns one instance of every registry organization plus a
+// format-pluggable cuckoo, sized comparably for a small 8-cache system.
 func makeAll(numCaches int) []Directory {
 	return []Directory{
 		NewIdeal(numCaches, 1024),
-		NewDuplicateTag(numCaches, 128, 4),
+		NewDuplicateTag(numCaches, allCacheSets, allCacheAssoc),
 		NewInCache(numCaches, 4096),
 		NewSparse(8, 128, numCaches),
 		NewSkewed(4, 256, numCaches),
@@ -22,6 +29,8 @@ func makeAll(numCaches int) []Directory {
 			Table:     core.Config{Ways: 4, SetsPerWay: 256},
 			NumCaches: numCaches,
 		}),
+		NewElbow(4, 256, numCaches),
+		NewFormattedCuckoo(core.Config{Ways: 4, SetsPerWay: 256}, sharer.FullFormat(), numCaches),
 	}
 }
 
@@ -364,13 +373,15 @@ func TestEventMixAccounting(t *testing.T) {
 		d.Read(0x1, 1)  // add-sharer
 		d.Write(0x1, 0) // invalidate
 		d.Evict(0x1, 0) // remove-sharer + remove-tag
-		ev := d.Stats().Events
-		if ev.Get(core.EvInsertTag) != 1 || ev.Get(core.EvAddSharer) != 1 ||
-			ev.Get(core.EvInvalidate) != 1 || ev.Get(core.EvRemoveSharer) != 1 ||
-			ev.Get(core.EvRemoveTag) != 1 {
-			t.Errorf("%s: event mix wrong: %v insert=%d add=%d inv=%d rms=%d rmt=%d",
-				d.Name(), ev.Names(), ev.Get(core.EvInsertTag), ev.Get(core.EvAddSharer),
-				ev.Get(core.EvInvalidate), ev.Get(core.EvRemoveSharer), ev.Get(core.EvRemoveTag))
+		d.Read(0x2, 0)  // insert
+		d.Write(0x2, 1) // non-holder write: invalidate only
+		want := core.EventCounts{
+			core.EvInsertTag: 2, core.EvAddSharer: 1, core.EvInvalidate: 2,
+			core.EvRemoveSharer: 1, core.EvRemoveTag: 1,
+		}
+		if ev := d.Stats().Events; ev != want {
+			t.Errorf("%s: event counts %v, want %v (insert, add, remove-sharer, remove-tag, invalidate)",
+				d.Name(), ev, want)
 		}
 	}
 }

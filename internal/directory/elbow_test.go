@@ -31,7 +31,7 @@ func TestElbowBasics(t *testing.T) {
 func TestElbowDisplacesOnce(t *testing.T) {
 	// Fill until conflicts occur; the structure must record successful
 	// single displacements and keep every surviving key findable.
-	d := NewElbow(2, 64, 4)
+	d := NewElbow(2, 64, 4).(*setAssoc)
 	r := rng.New(99)
 	live := make(map[uint64]bool)
 	for i := 0; i < 200; i++ {
@@ -83,7 +83,7 @@ func TestElbowBetweenSkewedAndCuckoo(t *testing.T) {
 }
 
 func TestElbowResetStats(t *testing.T) {
-	d := NewElbow(2, 16, 4)
+	d := NewElbow(2, 16, 4).(*setAssoc)
 	r := rng.New(1)
 	for i := 0; i < 100; i++ {
 		d.Read(r.Uint64(), 0)

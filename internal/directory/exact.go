@@ -123,11 +123,12 @@ func (e *exact) ForEach(fn func(addr, sharers uint64) bool) {
 	}
 }
 
-func (e *exact) sampleOccupancy() {
-	if e.nominalCap > 0 {
-		e.stats.OccupancySum += float64(len(e.entries)) / float64(e.nominalCap)
-		e.stats.OccupancySamples++
-	}
+// allocate serves a miss: it tracks addr with cache as the sole sharer.
+func (e *exact) allocate(addr uint64, cache int) Op {
+	e.trackFill(addr, cache)
+	e.entries[addr] = bit(cache)
+	e.stats.RecordInsert(1, len(e.entries), e.nominalCap)
+	return Op{Attempts: 1}
 }
 
 // trackFill enforces the duplicate-tag mirroring invariant on fills.
@@ -161,17 +162,11 @@ func (e *exact) Read(addr uint64, cache int) Op {
 	if ok {
 		if m&bit(cache) == 0 {
 			e.trackFill(addr, cache)
-			e.entries[addr] = m | bit(cache)
-			e.stats.Events.Inc(core.EvAddSharer)
+			e.entries[addr] = e.stats.ReadHit(m, bit(cache))
 		}
 		return Op{}
 	}
-	e.trackFill(addr, cache)
-	e.entries[addr] = bit(cache)
-	e.stats.Events.Inc(core.EvInsertTag)
-	e.stats.Attempts.Add(1)
-	e.sampleOccupancy()
-	return Op{Attempts: 1}
+	return e.allocate(addr, cache)
 }
 
 // Write implements Directory.
@@ -179,12 +174,7 @@ func (e *exact) Write(addr uint64, cache int) Op {
 	checkCache(cache, e.numCaches)
 	m, ok := e.entries[addr]
 	if ok {
-		inv := m &^ bit(cache)
-		if inv != 0 {
-			e.stats.Events.Inc(core.EvInvalidate)
-		} else if m&bit(cache) == 0 {
-			e.stats.Events.Inc(core.EvAddSharer)
-		}
+		inv := e.stats.WriteHit(m, bit(cache))
 		if m&bit(cache) == 0 {
 			e.trackFill(addr, cache)
 		}
@@ -195,12 +185,7 @@ func (e *exact) Write(addr uint64, cache int) Op {
 		e.entries[addr] = bit(cache)
 		return Op{Invalidate: inv}
 	}
-	e.trackFill(addr, cache)
-	e.entries[addr] = bit(cache)
-	e.stats.Events.Inc(core.EvInsertTag)
-	e.stats.Attempts.Add(1)
-	e.sampleOccupancy()
-	return Op{Attempts: 1}
+	return e.allocate(addr, cache)
 }
 
 // Evict implements Directory.
@@ -211,11 +196,8 @@ func (e *exact) Evict(addr uint64, cache int) {
 		return
 	}
 	e.trackEvict(addr, cache)
-	m &^= bit(cache)
-	e.stats.Events.Inc(core.EvRemoveSharer)
-	if m == 0 {
+	if m = e.stats.EvictHit(m, bit(cache)); m == 0 {
 		delete(e.entries, addr)
-		e.stats.Events.Inc(core.EvRemoveTag)
 	} else {
 		e.entries[addr] = m
 	}

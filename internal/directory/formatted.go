@@ -94,24 +94,16 @@ func (f *FormattedCuckoo) ForEach(fn func(addr, sharers uint64) bool) {
 	})
 }
 
-func (f *FormattedCuckoo) sampleOccupancy() {
-	f.stats.OccupancySum += f.t.Occupancy()
-	f.stats.OccupancySamples++
-}
-
 // insert allocates an entry holding only cache.
 func (f *FormattedCuckoo) insert(addr uint64, cache int) (op Op) {
 	set := f.format.New(f.numCaches)
 	set.Add(cache)
 	res := f.t.Insert(addr, set)
-	f.stats.Events.Inc(core.EvInsertTag)
-	f.stats.Attempts.Add(res.Attempts)
+	f.stats.RecordInsert(res.Attempts, f.t.Len(), f.t.Capacity())
 	op.Attempts = res.Attempts
-	f.sampleOccupancy()
 	if res.Evicted != nil {
 		m := maskOf(res.Evicted.Val)
-		f.stats.ForcedEvictions++
-		f.stats.ForcedBlocks += uint64(bits.OnesCount64(m))
+		f.stats.RecordForced(m)
 		op.Forced = append(op.Forced, Forced{Addr: res.Evicted.Key, Sharers: m})
 		delete(f.shadow, res.Evicted.Key)
 	}
@@ -123,7 +115,7 @@ func (f *FormattedCuckoo) Read(addr uint64, cache int) Op {
 	checkCache(cache, f.numCaches)
 	if p := f.t.Find(addr); p != nil {
 		if !(*p).Contains(cache) {
-			f.stats.Events.Inc(core.EvAddSharer)
+			f.stats.Events[core.EvAddSharer]++
 		}
 		(*p).Add(cache)
 		f.shadow[addr] |= bit(cache)
@@ -141,15 +133,9 @@ func (f *FormattedCuckoo) Read(addr uint64, cache int) Op {
 func (f *FormattedCuckoo) Write(addr uint64, cache int) Op {
 	checkCache(cache, f.numCaches)
 	if p := f.t.Find(addr); p != nil {
-		view := maskOf(*p)
-		inv := view &^ bit(cache)
+		inv := f.stats.WriteHit(maskOf(*p), bit(cache))
 		trueInv := f.shadow[addr] &^ bit(cache)
 		f.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ trueInv))
-		if inv != 0 {
-			f.stats.Events.Inc(core.EvInvalidate)
-		} else if view&bit(cache) == 0 {
-			f.stats.Events.Inc(core.EvAddSharer)
-		}
 		(*p).Clear()
 		(*p).Add(cache)
 		f.shadow[addr] = bit(cache)
@@ -175,12 +161,12 @@ func (f *FormattedCuckoo) Evict(addr uint64, cache int) {
 		return
 	}
 	(*p).Remove(cache)
-	f.stats.Events.Inc(core.EvRemoveSharer)
+	f.stats.Events[core.EvRemoveSharer]++
 	f.shadow[addr] &^= bit(cache)
 	if (*p).Empty() {
 		f.t.Delete(addr)
 		delete(f.shadow, addr)
-		f.stats.Events.Inc(core.EvRemoveTag)
+		f.stats.Events[core.EvRemoveTag]++
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 	"cuckoodir/internal/hashfn"
 )
 
-// setAssoc implements both classic Sparse and skewed-associative
-// directories; the two differ only in how ways are indexed:
+// setAssoc implements the classic Sparse, skewed-associative and Elbow
+// directories; they differ only in how ways are indexed and in whether an
+// insertion may displace one entry:
 //
 //   - Sparse (Gupta et al. [17], §3.2): every way uses the same low-order
 //     index bits, so a set is A physically adjacent slots and conflicts
@@ -20,6 +21,15 @@ import (
 //     but — unlike the Cuckoo directory — insertion still picks a victim
 //     from the A candidate slots rather than displacing entries to their
 //     alternate locations. Victims are the LRU candidate.
+//   - Elbow (Spjuth, Karlsson and Hagersten, §6): skewed indexing, and an
+//     insertion that finds every candidate slot taken first tries ONE
+//     displacement — it moves a candidate whose slot in another way is
+//     vacant there — before evicting the LRU candidate. The paper places
+//     it between Skewed and Cuckoo: "the Elbow cache is limited to one
+//     displacement per insertion and requires multiple lookups to select
+//     a displacement victim, resulting in a complex and power-hungry
+//     design that experiences more forced invalidations than the Cuckoo
+//     directory." The elbow experiment measures that ordering.
 type setAssoc struct {
 	name string
 	ways int
@@ -33,6 +43,12 @@ type setAssoc struct {
 	lruClock  uint64
 	numCaches int
 	stats     *Stats
+	// elbow enables the one-displacement insertion; its attempt
+	// histogram spans 1..2 (2 = an insertion that displaced).
+	elbow bool
+	// Displacements counts the elbow moves made, each costing the extra
+	// lookups the paper calls out.
+	Displacements uint64
 }
 
 type saEntry struct {
@@ -52,6 +68,19 @@ func NewSparse(ways, sets, numCaches int) Directory {
 func NewSkewed(ways, sets, numCaches int) Directory {
 	return newSetAssoc("skewed", ways, sets, numCaches,
 		hashfn.NewSkew(bits.TrailingZeros(uint(sets))))
+}
+
+// NewElbow builds an Elbow directory slice: skewed, with at most one
+// displacement per insertion.
+func NewElbow(ways, sets, numCaches int) Directory {
+	if ways <= 1 {
+		panic("directory: Elbow needs >= 2 ways")
+	}
+	s := newSetAssoc("elbow", ways, sets, numCaches,
+		hashfn.NewSkew(bits.TrailingZeros(uint(sets))))
+	s.elbow = true
+	s.ResetStats()
+	return s
 }
 
 func newSetAssoc(name string, ways, sets, numCaches int, h hashfn.Family) *setAssoc {
@@ -91,7 +120,14 @@ func (s *setAssoc) Len() int { return s.used }
 func (s *setAssoc) Stats() *Stats { return s.stats }
 
 // ResetStats implements Directory.
-func (s *setAssoc) ResetStats() { s.stats = core.NewDirStats(1) }
+func (s *setAssoc) ResetStats() {
+	maxAttempts := 1
+	if s.elbow {
+		maxAttempts = 2
+	}
+	s.stats = core.NewDirStats(maxAttempts)
+	s.Displacements = 0
+}
 
 // slotIdx returns the slot of (way, addr).
 func (s *setAssoc) slotIdx(way int, addr uint64) int {
@@ -147,7 +183,7 @@ func (s *setAssoc) touch(e *saEntry) {
 }
 
 // insert allocates an entry for addr, evicting the LRU candidate when all
-// eligible slots are occupied.
+// eligible slots are occupied (and, for Elbow, no candidate can move).
 func (s *setAssoc) insert(addr, sharers uint64) *Forced {
 	// Insertions are far rarer than lookups (one per allocated entry),
 	// so a single per-way indexed loop beats duplicating the victim
@@ -163,60 +199,77 @@ func (s *setAssoc) insert(addr, sharers uint64) *Forced {
 			victim = e
 		}
 	}
+	attempts := 1
+	if victim.valid && s.elbow {
+		if freed := s.elbowMove(addr); freed != nil {
+			victim, attempts = freed, 2
+		}
+	}
 	var forced *Forced
 	if victim.valid {
 		forced = &Forced{Addr: victim.addr, Sharers: victim.sharers}
 		s.used--
-		s.stats.ForcedEvictions++
-		s.stats.ForcedBlocks += uint64(bits.OnesCount64(victim.sharers))
+		s.stats.RecordForced(victim.sharers)
 	}
 	*victim = saEntry{addr: addr, sharers: sharers, valid: true}
 	s.touch(victim)
 	s.used++
-	s.stats.Events.Inc(core.EvInsertTag)
-	s.stats.Attempts.Add(1)
-	s.stats.OccupancySum += float64(s.used) / float64(s.Capacity())
-	s.stats.OccupancySamples++
+	s.stats.RecordInsert(attempts, s.used, s.Capacity())
 	return forced
+}
+
+// elbowMove makes the one displacement an Elbow insertion may: it moves
+// the first candidate of addr (in way order) whose slot in another way is
+// vacant there, and returns the slot it freed, or nil when no candidate
+// can move.
+func (s *setAssoc) elbowMove(addr uint64) *saEntry {
+	for w := 0; w < s.ways; w++ {
+		cand := &s.slots[s.slotIdx(w, addr)]
+		for w2 := 0; w2 < s.ways; w2++ {
+			if w2 == w {
+				continue
+			}
+			if alt := &s.slots[s.slotIdx(w2, cand.addr)]; !alt.valid {
+				*alt = *cand
+				cand.valid = false
+				s.Displacements++
+				return cand
+			}
+		}
+	}
+	return nil
+}
+
+// allocate serves a miss: it inserts addr with cache as the sole sharer.
+func (s *setAssoc) allocate(addr uint64, cache int) Op {
+	op := Op{Attempts: 1}
+	if f := s.insert(addr, bit(cache)); f != nil {
+		op.Forced = append(op.Forced, *f)
+	}
+	return op
 }
 
 // Read implements Directory.
 func (s *setAssoc) Read(addr uint64, cache int) Op {
 	checkCache(cache, s.numCaches)
 	if e := s.find(addr); e != nil {
-		if e.sharers&bit(cache) == 0 {
-			e.sharers |= bit(cache)
-			s.stats.Events.Inc(core.EvAddSharer)
-		}
+		e.sharers = s.stats.ReadHit(e.sharers, bit(cache))
 		s.touch(e)
 		return Op{}
 	}
-	op := Op{Attempts: 1}
-	if f := s.insert(addr, bit(cache)); f != nil {
-		op.Forced = append(op.Forced, *f)
-	}
-	return op
+	return s.allocate(addr, cache)
 }
 
 // Write implements Directory.
 func (s *setAssoc) Write(addr uint64, cache int) Op {
 	checkCache(cache, s.numCaches)
 	if e := s.find(addr); e != nil {
-		inv := e.sharers &^ bit(cache)
-		if inv != 0 {
-			s.stats.Events.Inc(core.EvInvalidate)
-		} else if e.sharers&bit(cache) == 0 {
-			s.stats.Events.Inc(core.EvAddSharer)
-		}
+		inv := s.stats.WriteHit(e.sharers, bit(cache))
 		e.sharers = bit(cache)
 		s.touch(e)
 		return Op{Invalidate: inv}
 	}
-	op := Op{Attempts: 1}
-	if f := s.insert(addr, bit(cache)); f != nil {
-		op.Forced = append(op.Forced, *f)
-	}
-	return op
+	return s.allocate(addr, cache)
 }
 
 // Evict implements Directory.
@@ -226,12 +279,9 @@ func (s *setAssoc) Evict(addr uint64, cache int) {
 	if e == nil || e.sharers&bit(cache) == 0 {
 		return
 	}
-	e.sharers &^= bit(cache)
-	s.stats.Events.Inc(core.EvRemoveSharer)
-	if e.sharers == 0 {
+	if e.sharers = s.stats.EvictHit(e.sharers, bit(cache)); e.sharers == 0 {
 		e.valid = false
 		s.used--
-		s.stats.Events.Inc(core.EvRemoveTag)
 	}
 }
 

@@ -178,17 +178,13 @@ func (t *Tagless) Read(addr uint64, cache int) Op {
 		return Op{}
 	}
 	t.filterAdd(cache, addr)
-	var op Op
 	if m == 0 {
-		t.stats.Events.Inc(core.EvInsertTag)
-		t.stats.Attempts.Add(1)
-		t.sampleOccupancy()
-		op.Attempts = 1
-	} else {
-		t.stats.Events.Inc(core.EvAddSharer)
+		t.recordInsert()
+		t.shadow[addr] = bit(cache)
+		return Op{Attempts: 1}
 	}
-	t.shadow[addr] = m | bit(cache)
-	return op
+	t.shadow[addr] = t.stats.ReadHit(m, bit(cache))
+	return Op{}
 }
 
 // Write implements Directory. The invalidate mask is computed from the
@@ -199,24 +195,19 @@ func (t *Tagless) Write(addr uint64, cache int) Op {
 	truth := t.shadow[addr]
 	positives, _ := t.Lookup(addr)
 	inv := positives &^ bit(cache)
-	trueInv := truth &^ bit(cache)
-	t.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ trueInv))
 
 	attempts := 0
+	var trueInv uint64
 	if truth&bit(cache) == 0 {
 		t.filterAdd(cache, addr)
-		if truth == 0 {
-			t.stats.Events.Inc(core.EvInsertTag)
-			t.stats.Attempts.Add(1)
-			t.sampleOccupancy()
-			attempts = 1
-		} else {
-			t.stats.Events.Inc(core.EvAddSharer)
-		}
 	}
-	if trueInv != 0 {
-		t.stats.Events.Inc(core.EvInvalidate)
+	if truth == 0 {
+		t.recordInsert()
+		attempts = 1
+	} else {
+		trueInv = t.stats.WriteHit(truth, bit(cache))
 	}
+	t.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ trueInv))
 	// True holders drop their copies (acknowledged invalidations update
 	// the grid).
 	for m := trueInv; m != 0; m &= m - 1 {
@@ -234,11 +225,8 @@ func (t *Tagless) Evict(addr uint64, cache int) {
 		return
 	}
 	t.filterRemove(cache, addr)
-	m &^= bit(cache)
-	t.stats.Events.Inc(core.EvRemoveSharer)
-	if m == 0 {
+	if m = t.stats.EvictHit(m, bit(cache)); m == 0 {
 		delete(t.shadow, addr)
-		t.stats.Events.Inc(core.EvRemoveTag)
 	} else {
 		t.shadow[addr] = m
 	}
@@ -254,12 +242,11 @@ func (t *Tagless) ForEach(fn func(addr, sharers uint64) bool) {
 	}
 }
 
-func (t *Tagless) sampleOccupancy() {
-	cap := t.Capacity()
-	if cap > 0 {
-		t.stats.OccupancySum += float64(len(t.shadow)) / float64(cap)
-		t.stats.OccupancySamples++
-	}
+// recordInsert records a new block's allocation. It samples occupancy
+// before the block joins the shadow, one entry below what the other
+// organizations sample after theirs.
+func (t *Tagless) recordInsert() {
+	t.stats.RecordInsert(1, len(t.shadow), t.Capacity())
 }
 
 var _ Directory = (*Tagless)(nil)

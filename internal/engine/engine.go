@@ -396,14 +396,6 @@ type Stats struct {
 	// own ResizeStats instead).
 	MigrationRuns   uint64
 	MigratedEntries uint64
-	// ResizesStarted counts resizes begun through the engine (the
-	// ResizeShard/ResizeShardSpec API and automatic growth);
-	// ResizesCompleted counts migrations the drainers drove to
-	// completion. An empty-shard resize completes in place without
-	// drainer work, so it is counted started but not completed here
-	// (the directory's ResizeStats counts both sides).
-	ResizesStarted   uint64
-	ResizesCompleted uint64
 	// GrowFailures counts automatic-growth attempts that failed (a
 	// grown geometry exceeding spec bounds, or a shard with no retained
 	// spec). The trigger condition persists, so one overload can count
@@ -440,8 +432,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Flushes += o.Flushes
 	s.MigrationRuns += o.MigrationRuns
 	s.MigratedEntries += o.MigratedEntries
-	s.ResizesStarted += o.ResizesStarted
-	s.ResizesCompleted += o.ResizesCompleted
 	s.GrowFailures += o.GrowFailures
 	s.Shed += o.Shed
 	s.ContainedPanics += o.ContainedPanics
@@ -514,7 +504,7 @@ type Engine struct {
 	_ [64]byte
 
 	subAcc, cmpAcc, subReq, cmpReq, rejected, flushes atomic.Uint64
-	migRuns, migrated, rzStarted, rzDone, growFail    atomic.Uint64
+	migRuns, migrated, growFail                       atomic.Uint64
 	shed, contained, erredAcc                         atomic.Uint64
 	// Per-class splits of the submission counters above (latency lives
 	// in the per-drainer recorders instead, to keep this block small).
@@ -597,8 +587,6 @@ func (e *Engine) Stats() Stats {
 		Flushes:           e.flushes.Load(),
 		MigrationRuns:     e.migRuns.Load(),
 		MigratedEntries:   e.migrated.Load(),
-		ResizesStarted:    e.rzStarted.Load(),
-		ResizesCompleted:  e.rzDone.Load(),
 		GrowFailures:      e.growFail.Load(),
 		Shed:              e.shed.Load(),
 		ContainedPanics:   e.contained.Load(),
@@ -1322,15 +1310,12 @@ func (e *Engine) migrateStep(qi int) bool {
 			// migrates it.
 			continue
 		}
-		moved, done, err := e.migrateShardStep(h)
+		moved, err := e.migrateShardStep(h)
 		if err != nil {
 			continue
 		}
 		e.migRuns.Add(1)
 		e.migrated.Add(uint64(moved))
-		if done {
-			e.rzDone.Add(1)
-		}
 		stepped = true
 	}
 	return stepped
@@ -1342,18 +1327,18 @@ func (e *Engine) migrateStep(qi int) bool {
 // instead of killing the drainer.
 //
 //cuckoo:recoverboundary
-func (e *Engine) migrateShardStep(h int) (moved int, done bool, err error) {
+func (e *Engine) migrateShardStep(h int) (moved int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			moved, done = 0, false
+			moved = 0
 			err = e.quarantine(h, p)
 		}
 	}()
 	if e.faults != nil {
 		e.faults.Hit(faults.MigrationPanic, h, e.stopc)
 	}
-	moved, done = e.dir.MigrateShard(h, e.opt.MigrationRun)
-	return moved, done, nil
+	moved, _ = e.dir.MigrateShard(h, e.opt.MigrationRun)
+	return moved, nil
 }
 
 // maybeGrow applies the directory's automatic-growth policy to this
@@ -1369,14 +1354,9 @@ func (e *Engine) maybeGrow(qi int) {
 				continue
 			}
 		}
-		started, err := e.dir.GrowShard(h)
-		if err != nil {
+		if _, err := e.dir.GrowShard(h); err != nil {
 			e.growFail.Add(1)
 			e.noteGrowError(h, err)
-			continue
-		}
-		if started {
-			e.rzStarted.Add(1)
 		}
 	}
 }
@@ -1419,7 +1399,6 @@ func (e *Engine) resize(h int, begin func() error) error {
 	if err := begin(); err != nil {
 		return err
 	}
-	e.rzStarted.Add(1)
 	if !e.dir.ShardMigrating(h) {
 		// An empty shard completes its resize in place; no drainer work.
 		return nil

@@ -315,8 +315,8 @@ func TestGrowFailureSurfaced(t *testing.T) {
 	if h.LastGrowError == nil || !errors.Is(h.LastGrowError, faults.ErrInjected) {
 		t.Fatalf("LastGrowError = %v, want the injected failure", h.LastGrowError)
 	}
-	if rs := eng.Stats().ResizesStarted; rs != 0 {
-		t.Errorf("ResizesStarted = %d with growth failing, want 0", rs)
+	if rs := dir.ResizeStats().Started; rs != 0 {
+		t.Errorf("ResizeStats().Started = %d with growth failing, want 0", rs)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)

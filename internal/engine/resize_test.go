@@ -178,9 +178,6 @@ func TestResizeCensusUnderEngine(t *testing.T) {
 		t.Fatalf("ResizeStats = %+v, want exactly one clean completed resize", rs)
 	}
 	es := eng.Stats()
-	if es.ResizesStarted != 1 || es.ResizesCompleted != 1 {
-		t.Errorf("engine stats: resizes started/completed = %d/%d, want 1/1", es.ResizesStarted, es.ResizesCompleted)
-	}
 	if es.MigrationRuns == 0 {
 		t.Error("engine stats: the drainers report zero migration runs for a non-empty shard")
 	}

@@ -289,7 +289,7 @@ func mixExp() Experiment {
 			"add/remove-sharer pairs, with a small invalidate-all fraction. Paper: insert 23.5%, add " +
 			"sharer 26.9%, remove sharer 24.9%, remove tag 23.5%, invalidate 1.2%.",
 		Run: func(o Options) []*stats.Table {
-			paper := map[string]float64{
+			paper := [core.NumEvents]float64{
 				core.EvInsertTag:    0.235,
 				core.EvAddSharer:    0.269,
 				core.EvRemoveSharer: 0.249,
@@ -315,11 +315,8 @@ func mixExp() Experiment {
 				}
 				mixes[kind] = agg
 			}
-			for _, ev := range []string{
-				core.EvInsertTag, core.EvAddSharer, core.EvRemoveSharer,
-				core.EvRemoveTag, core.EvInvalidate,
-			} {
-				row := []string{ev}
+			for ev := core.Event(0); ev < core.NumEvents; ev++ {
+				row := []string{ev.String()}
 				for _, kind := range []cmpsim.Kind{cmpsim.SharedL2, cmpsim.PrivateL2} {
 					fr := mixes[kind].Events.Fractions()
 					row = append(row, fmt.Sprintf("%.1f%%", fr[ev]*100))

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a fixed-range integer histogram with one bucket per value in
@@ -223,77 +222,6 @@ func (r *Ratio) Value() float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Total)
-}
-
-// CounterSet is a named collection of monotonically increasing counters,
-// used for the directory event-mix accounting (paper §5.6 footnote).
-type CounterSet struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{values: make(map[string]uint64)}
-}
-
-// Inc increments the named counter by 1, creating it if needed.
-func (c *CounterSet) Inc(name string) { c.AddTo(name, 1) }
-
-// AddTo increments the named counter by n, creating it if needed.
-func (c *CounterSet) AddTo(name string, n uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += n
-}
-
-// Get returns the value of the named counter (0 if absent).
-func (c *CounterSet) Get(name string) uint64 { return c.values[name] }
-
-// Names returns counter names in insertion order.
-func (c *CounterSet) Names() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	return out
-}
-
-// Total returns the sum of all counters.
-func (c *CounterSet) Total() uint64 {
-	var t uint64
-	for _, v := range c.values {
-		t += v
-	}
-	return t
-}
-
-// Fractions returns each counter as a fraction of the total, sorted by
-// insertion order. Returns nil for an empty set.
-func (c *CounterSet) Fractions() map[string]float64 {
-	t := c.Total()
-	if t == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(c.values))
-	for k, v := range c.values {
-		out[k] = float64(v) / float64(t)
-	}
-	return out
-}
-
-// Merge adds the counters of other into c.
-func (c *CounterSet) Merge(other *CounterSet) {
-	for _, name := range other.names {
-		c.AddTo(name, other.values[name])
-	}
-}
-
-// SortedNames returns counter names in lexical order (for deterministic
-// printing independent of insertion order).
-func (c *CounterSet) SortedNames() []string {
-	out := c.Names()
-	sort.Strings(out)
-	return out
 }
 
 // GeoMean returns the geometric mean of vs, ignoring non-positive values.

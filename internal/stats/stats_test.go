@@ -270,40 +270,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Inc("insert")
-	c.Inc("insert")
-	c.AddTo("evict", 3)
-	if got := c.Get("insert"); got != 2 {
-		t.Errorf("insert = %d, want 2", got)
-	}
-	if got := c.Total(); got != 5 {
-		t.Errorf("Total = %d, want 5", got)
-	}
-	fr := c.Fractions()
-	if math.Abs(fr["insert"]-0.4) > 1e-12 {
-		t.Errorf("fraction insert = %f, want 0.4", fr["insert"])
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "insert" || names[1] != "evict" {
-		t.Errorf("Names = %v", names)
-	}
-	d := NewCounterSet()
-	d.Inc("evict")
-	d.Inc("new")
-	c.Merge(d)
-	if c.Get("evict") != 4 || c.Get("new") != 1 {
-		t.Errorf("after merge: evict=%d new=%d", c.Get("evict"), c.Get("new"))
-	}
-	sorted := c.SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Errorf("SortedNames not sorted: %v", sorted)
-		}
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
 		t.Errorf("GeoMean(2,8) = %f, want 4", got)

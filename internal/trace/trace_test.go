@@ -155,10 +155,8 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 
 	a, b := live.DirStats(), replayed.DirStats()
-	for _, ev := range a.Events.Names() {
-		if a.Events.Get(ev) != b.Events.Get(ev) {
-			t.Errorf("event %s: live %d, replay %d", ev, a.Events.Get(ev), b.Events.Get(ev))
-		}
+	if a.Events != b.Events {
+		t.Errorf("events: live %v, replay %v", a.Events, b.Events)
 	}
 	if a.Attempts.Mean() != b.Attempts.Mean() {
 		t.Errorf("attempts: live %f, replay %f", a.Attempts.Mean(), b.Attempts.Mean())
